@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
+    DEFAULT_RADII,
+    DEFAULT_RESOLUTION,
     ConeDescription,
     FamilyBranch,
     PointFamily,
@@ -133,10 +135,10 @@ def representation(label: str) -> RepresentationSpec:
 
 def wavefront_of(
     spec: RepresentationSpec,
-    radii=(10.0, 30.0, 100.0, 300.0),
+    radii=DEFAULT_RADII,
     samples_per_radius: int = 6000,
     seed: int = 0,
-    resolution: float = 0.02,
+    resolution: float = DEFAULT_RESOLUTION,
     use_exact_tag: bool = False,
 ) -> ConeDescription:
     """Wave front set of a catalog representation: the asymptotic cone of
@@ -203,7 +205,7 @@ def su21_so21_pair() -> SubalgebraEmbedding:
 
 
 def quaternionic_wf(
-    budget: int = 40_000, seed: int = 0, resolution: float = 0.02
+    budget: int = 40_000, seed: int = 0, resolution: float = DEFAULT_RESOLUTION
 ) -> ConeDescription:
     """The nilpotent cone of su(2,1), sampled.
 

@@ -33,6 +33,8 @@ from .catalog import (
     wavefront_of,
 )
 from .cones import (
+    DEFAULT_RADII,
+    DEFAULT_RESOLUTION,
     EXACT_NAMES,
     cone_directions,
     cone_equal,
@@ -52,8 +54,6 @@ from .induction import (
 from .liealg import build_algebra, classify_batch, classify_element
 from .orbits import OrbitParam, density_ratio_F, orbit_sample, sl2_casimir
 from .tempered import bk_weak_containment
-
-DEFAULT_RADII = (10.0, 30.0, 100.0, 300.0)
 
 CLAIMS = {
     "classify": "coadjoint element classes are invariants of the group action",
@@ -78,16 +78,24 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_radii(text: str):
-    vals = tuple(float(x) for x in text.split(",") if x.strip())
+    vals = tuple(_parse_vector(text))
     if len(vals) < 3:
         raise OrbitConeError("--radii needs at least 3 comma-separated values")
     return vals
 
 
 def _parse_orbit(text: str) -> OrbitParam:
-    parts = text.split(":")
-    kind = parts[0]
-    value = float(parts[1]) if len(parts) > 1 and parts[1] != "" else None
+    kind, _, raw = text.partition(":")
+    try:
+        value = float(raw) if raw != "" else None
+    except ValueError:
+        raise OrbitConeError(f"cannot parse orbit value in {text!r}") from None
+    if value is not None and not np.isfinite(value):
+        raise OrbitConeError(f"orbit value must be finite, got {text!r}")
+    if kind in ("hyp", "ell+", "ell-") and value is None:
+        raise OrbitConeError(f"orbit kind {kind!r} needs a value, e.g. {kind}:1")
+    if kind in ("ell+", "ell-") and value <= 0:
+        raise OrbitConeError(f"elliptic orbit needs a positive value, got {text!r}")
     return OrbitParam("sl2R", kind, value)
 
 
@@ -205,7 +213,7 @@ def _cmd_ac(args, out_dir: Path) -> int:
     cone = wavefront_of(
         spec, radii=radii, samples_per_radius=args.samples, seed=args.seed
     )
-    dirs = np.asarray(cone_directions(cone, 0.02, args.seed))
+    dirs = np.asarray(cone_directions(cone, DEFAULT_RESOLUTION, args.seed))
     _directions_csv(out_dir, spec.orbital_support.algebra, dirs)
     result = {"cone": cone_record(cone), "n_directions": len(dirs)}
     expected = dict(GOLDEN_ROWS).get(spec.label)
@@ -226,6 +234,10 @@ def _cmd_dual(args, out_dir: Path) -> int:
     gens = [
         _parse_vector(part) for part in args.generators.split(";") if part.strip()
     ]
+    if len({len(g) for g in gens}) > 1:
+        raise OrbitConeError(
+            f"generators have different lengths: {[len(g) for g in gens]}"
+        )
     cone = polyhedral_cone(np.array(gens))
     dual = dual_cone(cone)
     config = _base_config(args, "dual", 0, ())
@@ -242,7 +254,7 @@ def _cmd_induce(args, out_dir: Path) -> int:
     E = pair_embedding(_parse_pair_spec(args.pair))
     S = exact_cone(args.sub_cone, E.sub.name, E.sub.dim)
     cone = induced_cone(E, S, budget=args.samples, seed=args.seed)
-    dirs = np.asarray(cone_directions(cone, 0.02, args.seed))
+    dirs = np.asarray(cone_directions(cone, DEFAULT_RESOLUTION, args.seed))
     counts: dict[str, int] = {}
     if len(dirs):
         for t in classify_batch(E.ambient, dirs):
@@ -282,7 +294,7 @@ def _cmd_restrict(args, out_dir: Path) -> int:
     bound = restriction_lower_bound(E, C, seed=args.seed)
     counts = restriction_class_counts(E, C, seed=args.seed)
     obstructed = any(t not in ("Elliptic", "Nilpotent", "Zero") for t in counts)
-    dirs = np.asarray(cone_directions(bound, 0.02, args.seed))
+    dirs = np.asarray(cone_directions(bound, DEFAULT_RESOLUTION, args.seed))
     config = _base_config(args, "restrict", args.samples, ())
     if len(dirs):
         _directions_csv(out_dir, E.sub.name, dirs)
@@ -361,7 +373,8 @@ def _cmd_golden_table(args, out_dir: Path) -> int:
             ],
             "all_ok": all_ok,
         },
-        {}, _timings(args),
+        {},
+        _timings(args, rows=[{"label": r["label"], "seconds": r["seconds"]} for r in rows]),
     )
     for r in rows:
         status = "pass" if r["ok"] else "FAIL"
@@ -400,9 +413,10 @@ def _cmd_measure_scan(args, out_dir: Path) -> int:
     return 0
 
 
-def _timings(args) -> dict:
+def _timings(args, **extra) -> dict:
+    """Wall-clock section; ``extra`` timing entries are kept only with --timings."""
     if getattr(args, "timings", False):
-        return {"recorded": True, "wall_seconds": time.perf_counter() - args._t0}
+        return {"recorded": True, "wall_seconds": time.perf_counter() - args._t0, **extra}
     return {"recorded": False}
 
 
@@ -418,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, samples_default=10_000):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--radii", type=str, default="10,30,100,300")
+        p.add_argument("--radii", type=str,
+                       default=",".join(f"{r:g}" for r in DEFAULT_RADII))
         p.add_argument("--angular-tol", type=float, default=0.05)
         p.add_argument("--out", type=str, default=".")
         p.add_argument("--timings", action="store_true")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
+from scipy.spatial import cKDTree
 
 from .errors import (
     DimensionTooLarge,
@@ -129,15 +130,18 @@ def angular_distance(u, v) -> float:
     return float(np.arccos(np.clip(np.dot(_unit(u), _unit(v)), -1.0, 1.0)))
 
 
-def _min_angles_to(points: np.ndarray, targets: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """For each row of points (unit), the angle to the nearest row of targets."""
+def _min_angles_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each row of points (unit), the angle to the nearest row of targets.
+
+    A KD-tree on the targets finds the nearest one by chord length d, which
+    is monotone in angle on the unit sphere.  The angle is 2 atan2(d, |p + t|):
+    exact at 0 and at pi alike, where arccos of a dot product (at 0) or
+    2 asin(d/2) (at pi) would be off by sqrt(eps).
+    """
     if len(targets) == 0:
         return np.full(len(points), np.pi)
-    out = np.empty(len(points))
-    for i in range(0, len(points), chunk):
-        dots = np.clip(points[i : i + chunk] @ targets.T, -1.0, 1.0)
-        out[i : i + chunk] = np.arccos(dots.max(axis=1))
-    return out
+    d, nearest = cKDTree(targets).query(points)
+    return 2.0 * np.arctan2(d, np.linalg.norm(points + targets[nearest], axis=1))
 
 
 def dedup_directions(dirs: np.ndarray, resolution: float) -> np.ndarray:

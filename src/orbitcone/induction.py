@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
+    DEFAULT_RESOLUTION,
     ConeDescription,
     cone_directions,
     dedup_directions,
@@ -265,7 +266,7 @@ def induced_cone_samples(
     S: ConeDescription,
     budget: int = 100_000,
     seed: int = 0,
-    resolution: float = 0.02,
+    resolution: float = DEFAULT_RESOLUTION,
 ) -> np.ndarray:
     """Points xi with q(xi) in S, pushed by random group words.
 
@@ -314,7 +315,7 @@ def induced_cone(
     S: ConeDescription,
     budget: int = 100_000,
     seed: int = 0,
-    resolution: float = 0.02,
+    resolution: float = DEFAULT_RESOLUTION,
 ) -> ConeDescription:
     """Sampled closure of Ad*(G) applied to q^{-1}(S)."""
     pts = induced_cone_samples(E, S, budget=budget, seed=seed, resolution=resolution)
@@ -332,7 +333,7 @@ def induced_cone(
 def restriction_lower_bound(
     E: SubalgebraEmbedding,
     C: ConeDescription,
-    resolution: float = 0.02,
+    resolution: float = DEFAULT_RESOLUTION,
     seed: int = 0,
 ) -> ConeDescription:
     """Closure of q(C): a cone over the sub algebra contained in the wave
@@ -352,7 +353,10 @@ def restriction_lower_bound(
 
 
 def restriction_class_counts(
-    E: SubalgebraEmbedding, C: ConeDescription, resolution: float = 0.02, seed: int = 0
+    E: SubalgebraEmbedding,
+    C: ConeDescription,
+    resolution: float = DEFAULT_RESOLUTION,
+    seed: int = 0,
 ) -> dict:
     """How the directions of q(C) classify inside the sub algebra."""
     bound = restriction_lower_bound(E, C, resolution=resolution, seed=seed)
@@ -367,7 +371,10 @@ def restriction_class_counts(
 
 
 def discrete_decomposability_obstruction(
-    E: SubalgebraEmbedding, C: ConeDescription, resolution: float = 0.02, seed: int = 0
+    E: SubalgebraEmbedding,
+    C: ConeDescription,
+    resolution: float = DEFAULT_RESOLUTION,
+    seed: int = 0,
 ) -> bool:
     """True when restriction cannot decompose discretely: some direction
     of q(C) classifies outside the closed elliptic set of the sub

@@ -78,7 +78,7 @@ def test_criterion_2_asymptotic_cone_union_lemma():
             fams.append(orbit_family(sl2, [OrbitParam("sl2R", k, v)]))
         ok, defect = ac_union_check(fams, seed=1000 + trial, angular_tol=0.05)
         worst = max(worst, defect)
-        assert ok, (trial, [f.branches[0].param.kind for f in fams], defect)
+        assert ok, (trial, [f.branches[0].label for f in fams], defect)
     print(f"\n[criterion 2] PASS union lemma: 20/20 families, worst defect {worst:.4f}")
 
 

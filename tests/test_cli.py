@@ -68,6 +68,23 @@ def test_validation_errors_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["orbit-sample", "--orbit", "hyp:abc"],
+        ["wavefront", "--rep", "L2_GK", "--radii", "1,a,3"],
+        ["dual", "--generators", "1,2;3"],
+        ["orbit-sample", "--orbit", "ell+:0"],
+    ],
+    ids=["orbit-value", "radii", "ragged-generators", "ell-zero"],
+)
+def test_bad_input_exits_2_without_report(tmp_path, args):
+    code, rep, out = run(args, tmp_path)
+    assert code == 2
+    assert rep is None
+    assert not (out / "directions.csv").exists()
+
+
 def test_inconclusive_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli,
@@ -142,3 +159,14 @@ def test_timings_opt_in(tmp_path):
     assert code == 0
     assert rep["timings"]["recorded"] is True
     assert rep["timings"]["wall_seconds"] > 0
+
+
+def test_golden_table_row_times_only_with_timings(tmp_path):
+    args = ["golden-table", "--samples", "1000"]
+    _, plain, _ = run(args, tmp_path, "plain")
+    _, timed, _ = run(args + ["--timings"], tmp_path, "timed")
+    assert plain["timings"] == {"recorded": False}
+    rows = timed["timings"]["rows"]
+    assert [r["label"] for r in rows] == timed["inputs"]["rows"]
+    assert all(r["seconds"] > 0 for r in rows)
+    assert timed["result"] == plain["result"]

@@ -18,7 +18,7 @@ from orbitcone import (
     sampled_cone,
     union_family,
 )
-from orbitcone.cones import FamilyBranch, PointFamily
+from orbitcone.cones import FamilyBranch, PointFamily, _min_angles_to
 from orbitcone.errors import InsufficientRadii, UnsupportedAlgebra
 
 
@@ -202,3 +202,45 @@ def test_empty_family_rejected(sl2):
         asymptotic_cone(PointFamily(algebra="sl2R", dim=3, branches=()))
     with pytest.raises(EmptyFamily):
         ac_union_check([])
+
+
+def _unit_rows(rng, n, d):
+    v = rng.standard_normal((n, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _brute_min_angles(points, targets):
+    # 2 atan2(|u - v|, |u + v|) is the angle between unit u and v, well
+    # conditioned at 0 and at pi alike
+    diff = np.linalg.norm(points[:, None, :] - targets[None, :, :], axis=2)
+    summ = np.linalg.norm(points[:, None, :] + targets[None, :, :], axis=2)
+    return (2.0 * np.arctan2(diff, summ)).min(axis=1)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_min_angles_to_matches_brute_force(dim):
+    rng = np.random.default_rng(dim)
+    base = _unit_rows(rng, 60, dim)
+    # duplicate targets and antipodal pairs
+    targets = np.vstack([base, base[:10], -base[10:20]])
+    points = np.vstack([_unit_rows(rng, 200, dim), -base[:5], base[30:35]])
+    got = _min_angles_to(points, targets)
+    assert np.max(np.abs(got - _brute_min_angles(points, targets))) <= 1e-12
+    # a single target, including its own antipode
+    single = base[:1]
+    pts = np.vstack([points, -single])
+    got = _min_angles_to(pts, single)
+    assert np.max(np.abs(got - _brute_min_angles(pts, single))) <= 1e-12
+    assert abs(got[-1] - np.pi) <= 1e-12
+
+
+def test_min_angles_to_empty_targets_is_pi():
+    pts = _unit_rows(np.random.default_rng(0), 4, 3)
+    assert np.array_equal(_min_angles_to(pts, np.zeros((0, 3))), np.full(4, np.pi))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6, 8])
+def test_min_angles_to_self_is_zero(dim):
+    # arccos of a dot product one ulp below 1 would give sqrt(eps) here
+    dirs = _unit_rows(np.random.default_rng(10 + dim), 500, dim)
+    assert np.max(_min_angles_to(dirs, dirs)) <= 1e-12
