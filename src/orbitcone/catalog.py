@@ -37,11 +37,12 @@ from .cones import (
 from .errors import BadPartition, UnsupportedAlgebra
 from .induction import (
     SubalgebraEmbedding,
+    decomposability_obstructed,
     diagonal_embedding,
     pair_embedding,
     restriction_class_counts,
 )
-from .liealg import build_algebra, random_group_words
+from .liealg import _flatten, build_algebra, random_group_words
 from .orbits import OrbitParam, orbit_branch, orbit_family, orbit_sum_sample, union_family
 
 
@@ -215,10 +216,6 @@ def quaternionic_wf(
     """
     g = build_algebra("su(2,1)")
     rng = np.random.default_rng(seed)
-    flat = np.stack(
-        [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in g.basis], axis=1
-    )
-    pinv = np.linalg.pinv(flat)
     J = np.diag([1.0, 1.0, -1.0]).astype(complex)
 
     n_rank1 = budget // 2
@@ -229,8 +226,7 @@ def quaternionic_wf(
     coords = []
     for v in vs:
         x = 1j * np.outer(v, v.conj()) @ J
-        vec = np.concatenate([x.real.ravel(), x.imag.ravel()])
-        coords.append(pinv @ vec)
+        coords.append(g.flat_pinv @ _flatten(x))
     pts = np.array(coords)
     pts = np.vstack([pts, -pts])
 
@@ -255,14 +251,13 @@ def su21_branching_report(budget: int = 40_000, seed: int = 0) -> dict:
     E = su21_so21_pair()
     cone = quaternionic_wf(budget=budget, seed=seed)
     counts = restriction_class_counts(E, cone, seed=seed)
-    obstructed = any(t not in ("Elliptic", "Nilpotent", "Zero") for t in counts)
     return {
         "pair": E.name,
         "class_counts": counts,
         "all_three_classes": all(
             t in counts for t in ("Elliptic", "Hyperbolic", "Nilpotent")
         ),
-        "obstructed": obstructed,
+        "obstructed": decomposability_obstructed(counts),
     }
 
 

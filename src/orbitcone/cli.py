@@ -45,6 +45,7 @@ from .cones import (
 )
 from .errors import OrbitConeError
 from .induction import (
+    decomposability_obstructed,
     induced_cone,
     pair_embedding,
     restriction_class_counts,
@@ -293,7 +294,6 @@ def _cmd_restrict(args, out_dir: Path) -> int:
         raise OrbitConeError("restrict needs --cone or --rep")
     bound = restriction_lower_bound(E, C, seed=args.seed)
     counts = restriction_class_counts(E, C, seed=args.seed)
-    obstructed = any(t not in ("Elliptic", "Nilpotent", "Zero") for t in counts)
     dirs = np.asarray(cone_directions(bound, DEFAULT_RESOLUTION, args.seed))
     config = _base_config(args, "restrict", args.samples, ())
     if len(dirs):
@@ -303,7 +303,7 @@ def _cmd_restrict(args, out_dir: Path) -> int:
         out_dir, config,
         {"pair": E.name, "cone": args.cone or args.rep},
         {"lower_bound": cone_record(bound), "class_counts": counts,
-         "discretely_decomposable_obstructed": obstructed},
+         "discretely_decomposable_obstructed": decomposability_obstructed(counts)},
         {}, _timings(args),
     )
     return 0

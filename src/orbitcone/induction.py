@@ -39,6 +39,7 @@ from .errors import (
 )
 from .liealg import (
     MatrixLieAlgebra,
+    _split_args,
     ad_matrix,
     bracket,
     build_algebra,
@@ -209,19 +210,10 @@ def pair_embedding(spec: str) -> SubalgebraEmbedding:
     m = re.fullmatch(r"pair\((.+)\)", s, flags=re.DOTALL)
     if not m:
         raise UnsupportedAlgebra(f"cannot parse embedding spec {spec!r}")
-    body = m.group(1)
-    # split at the top-level comma
-    depth = 0
-    for k, ch in enumerate(body):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            left, right = body[:k].strip(), body[k + 1 :].strip()
-            break
-    else:
+    parts = _split_args(m.group(1))
+    if len(parts) != 2:
         raise UnsupportedAlgebra(f"pair spec needs two arguments: {spec!r}")
+    left, right = parts
     if right.startswith("blocks["):
         mm = re.fullmatch(r"so\((\d+),(\d+)\)", left)
         if not mm:
@@ -370,16 +362,10 @@ def restriction_class_counts(
     return out
 
 
-def discrete_decomposability_obstruction(
-    E: SubalgebraEmbedding,
-    C: ConeDescription,
-    resolution: float = DEFAULT_RESOLUTION,
-    seed: int = 0,
-) -> bool:
-    """True when restriction cannot decompose discretely: some direction
-    of q(C) classifies outside the closed elliptic set of the sub
-    algebra."""
-    counts = restriction_class_counts(E, C, resolution=resolution, seed=seed)
+def decomposability_obstructed(counts: dict) -> bool:
+    """True when restriction cannot decompose discretely: given the class
+    counts of the directions of q(C) (``restriction_class_counts``), some
+    class lies outside the closed elliptic set of the sub algebra."""
     return any(tag not in ("Elliptic", "Nilpotent", "Zero") for tag in counts)
 
 

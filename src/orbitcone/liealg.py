@@ -44,6 +44,8 @@ class MatrixLieAlgebra:
     gram : trace-form matrix Tr(e_i e_j) (real part for complex matrices).
     split_coords : rows span a maximal split abelian subspace, used by the
         temperedness tests; empty for compact algebras.
+    flat_basis : columns are the basis matrices flattened by ``_flatten``.
+    flat_pinv : pseudo-inverse of ``flat_basis``.
     chart : "sl2" when the basis is ordered (split, split, compact) with
         Casimir x^2 + y^2 - z^2, enabling the quadric catalog.
     """
@@ -54,6 +56,8 @@ class MatrixLieAlgebra:
     structure: np.ndarray
     gram: np.ndarray
     split_coords: np.ndarray
+    flat_basis: np.ndarray
+    flat_pinv: np.ndarray
     chart: str | None = None
 
     @property
@@ -180,12 +184,13 @@ def _basis_matrix_names(kind, *args):
 
 
 def _split_args(s: str):
-    """Split a comma-separated argument list at depth zero."""
+    """Split a comma-separated argument list at parenthesis and bracket
+    depth zero."""
     parts, depth, cur = [], 0, []
     for ch in s:
-        if ch == "(":
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
         if ch == "," and depth == 0:
             parts.append("".join(cur).strip())
@@ -226,22 +231,21 @@ def _block_diag(mats, sizes, offset):
     return out
 
 
-def structure_constants(basis) -> np.ndarray:
+def _flatten(m) -> np.ndarray:
+    """A matrix as one real vector: real parts, then imaginary parts."""
+    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+
+def structure_constants(basis, flat_pinv) -> np.ndarray:
     """Solve [e_i, e_j] = sum_k c[i,j,k] e_k by least squares on flattened
-    matrices (exact up to roundoff for a genuine basis)."""
+    matrices (exact up to roundoff for a genuine basis), given the
+    pseudo-inverse of the flattened basis."""
     dim = len(basis)
-    if dim == 0:
-        return np.zeros((0, 0, 0))
-    flat = np.stack(
-        [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in basis], axis=1
-    )
     c = np.zeros((dim, dim, dim))
-    pinv = np.linalg.pinv(flat)
     for i in range(dim):
         for j in range(i + 1, dim):
             comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            v = np.concatenate([comm.real.ravel(), comm.imag.ravel()])
-            coef = pinv @ v
+            coef = flat_pinv @ _flatten(comm)
             c[i, j] = coef
             c[j, i] = -coef
     return c
@@ -258,7 +262,9 @@ def trace_gram(basis) -> np.ndarray:
 
 def _assemble(name, mats, names, split, chart) -> MatrixLieAlgebra:
     mats = tuple(np.asarray(m) for m in mats)
-    c = structure_constants(mats)
+    flat = np.stack([_flatten(m) for m in mats], axis=1) if mats else np.zeros((0, 0))
+    pinv = np.linalg.pinv(flat)
+    c = structure_constants(mats, pinv)
     g = trace_gram(mats)
     if len(mats) and abs(np.linalg.det(g)) <= GRAM_DET_TOL:
         raise DegenerateForm(f"trace form of {name} is singular")
@@ -270,6 +276,8 @@ def _assemble(name, mats, names, split, chart) -> MatrixLieAlgebra:
         structure=c,
         gram=g,
         split_coords=split_arr,
+        flat_basis=flat,
+        flat_pinv=pinv,
         chart=chart,
     )
 
@@ -346,12 +354,9 @@ def matrix_coords(L: MatrixLieAlgebra, m, tol: float = 1e-9) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a {L.matrix_size}x{L.matrix_size} matrix for {L.name}"
         )
-    flat = np.stack(
-        [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in L.basis], axis=1
-    )
-    v = np.concatenate([m.real.ravel(), np.asarray(m, dtype=complex).imag.ravel()])
-    coef, *_ = np.linalg.lstsq(flat, v, rcond=None)
-    resid = np.linalg.norm(flat @ coef - v)
+    v = _flatten(np.asarray(m, dtype=complex))
+    coef, *_ = np.linalg.lstsq(L.flat_basis, v, rcond=None)
+    resid = np.linalg.norm(L.flat_basis @ coef - v)
     if resid > tol * max(1.0, np.linalg.norm(v)):
         raise DimensionMismatch(f"matrix is not in the span of {L.name}")
     return coef

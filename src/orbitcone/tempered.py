@@ -6,12 +6,15 @@ trace of ad(Y) over its positive eigenspaces.  Both sides are piecewise
 linear over the fan cut out by the weight hyperplanes, so the global
 check reduces to finitely many candidate rays: the +- solutions of every
 (dim-1)-subset of hyperplanes of full rank, taken after quotienting the
-common lineality space.  Catalog weights are integers, and the ray check
-runs in exact rational arithmetic.
+common lineality space.  The rays are enumerated over the rationals and
+scaled to primitive integer vectors, so the comparison on them is exact
+integer arithmetic.  This needs integral weights; for non-integral
+weights the test answers "Unknown".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -182,14 +185,10 @@ def rho_batch(W: WeightSystem, ys: np.ndarray) -> np.ndarray:
 # exact rational linear algebra on weight rows
 
 
-def _frac_rows(rows):
-    return [[Fraction(int(x)) for x in r] for r in rows]
-
-
 def _rref(rows):
     """Reduced row echelon form over the rationals; returns (rref rows,
     pivot column list)."""
-    m = [list(r) for r in rows]
+    m = [[Fraction(x) for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -227,25 +226,18 @@ def _rational_nullspace(rows, ncols):
     return basis
 
 
-def _evaluate_exact(weights, y):
-    """(2 rho_sub, rho_ambient) pieces are assembled by the caller; this
-    returns sum(mult * max(w.y, 0)) exactly."""
-    out = Fraction(0)
-    for w, m in weights:
-        v = sum(Fraction(int(a)) * b for a, b in zip(w, y))
-        if v > 0:
-            out += m * v
-    return out
+def _primitive(v) -> np.ndarray:
+    """The primitive integer vector on the ray of a rational vector, as a
+    Python-int object array (positive scaling keeps every sign)."""
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = math.gcd(*ints)
+    return np.array([x // g for x in ints], dtype=object)
 
 
 def bk_weak_containment(E: SubalgebraEmbedding) -> BKCertificate:
-    """Exact global test of 2 rho_h <= rho_g over the split abelian part.
-
-    Candidate extreme rays are the +- null directions of every
-    (d-1)-subset of weight hyperplanes of full rank, d the dimension of
-    the split part modulo the common lineality of all weights; a linear
-    function on a polyhedral cone attains its sign extremes at such rays.
-    """
+    """Exact global test of 2 rho_h <= rho_g over the split abelian part;
+    "Unknown" when the weights are not integral."""
     a_rows = split_abelian(E)
     k = a_rows.shape[0]
     tables: dict = {"split_dim": k}
@@ -260,106 +252,60 @@ def bk_weak_containment(E: SubalgebraEmbedding) -> BKCertificate:
     tables["sub_weights"] = [[list(w), m] for w, m in W_h.weights]
     tables["ambient_weights"] = [[list(w), m] for w, m in W_g.weights]
     if not (W_h.integral and W_g.integral):
-        return _bk_float(W_h, W_g, k, tables)
-    nonzero = {w for w, _ in W_h.weights + W_g.weights if any(x != 0 for x in w)}
+        return BKCertificate("Unknown", None, 0, tables)
+    return _bk_rays(W_h, W_g, k, tables)
+
+
+def _bk_rays(W_h: WeightSystem, W_g: WeightSystem, k: int, tables: dict) -> BKCertificate:
+    """Compare 2 rho_h with rho_g on every candidate extreme ray.
+
+    The candidates are the +- null directions of every (d-1)-subset of
+    weight hyperplanes of full rank, d the rank of all weights (the
+    dimension modulo their common lineality); a linear function on a
+    polyhedral cone attains its sign extremes at such rays.  Each ray is
+    scaled to its primitive integer vector and all rays are evaluated at
+    once in exact integer arithmetic.  The witness is the first ray with
+    the largest gap.
+    """
+    nonzero = {w for w, _ in W_h.weights + W_g.weights if any(w)}
     if not nonzero:
         return BKCertificate("Contained", None, 0, tables)
     # hyperplanes up to sign
-    planes = sorted({w if w > tuple(-x for x in w) else tuple(-x for x in w)
-                     for w in nonzero})
-    full_rref, full_piv = _rref(_frac_rows(planes))
-    ell = k - len(full_piv)  # common lineality dimension
-    d = k - ell
+    planes = sorted({max(w, tuple(-x for x in w)) for w in nonzero})
+    P = np.array(planes, dtype=object)
+    d = len(_rref(planes)[1])
     rays = []
-    if d == 1:
-        # quotient is a line: any direction not killed by all weights
-        for v in _rational_nullspace([[Fraction(0)] * k], k):
-            if any(sum(Fraction(int(a)) * b for a, b in zip(w, v)) != 0 for w in planes):
-                rays.append(v)
+    for subset in combinations(planes, d - 1):
+        space = _rational_nullspace(subset, k)
+        if len(space) != k - d + 1:  # subset not of full rank
+            continue
+        # the common lineality plus one ray
+        for v in space:
+            y = _primitive(v)
+            if np.any(P @ y):
+                rays += [y, -y]
                 break
-    else:
-        for subset in combinations(planes, d - 1):
-            rows = _frac_rows(subset)
-            rref, piv = _rref(rows)
-            if len(piv) != d - 1:
-                continue
-            space = _rational_nullspace(rows, k)
-            # dim(space) = k - (d-1) = ell + 1: one ray modulo lineality
-            for v in space:
-                if any(
-                    sum(Fraction(int(a)) * b for a, b in zip(w, v)) != 0
-                    for w in planes
-                ):
-                    rays.append(v)
-                    break
-    worst = None
-    checked = 0
-    for v in rays:
-        for sign in (1, -1):
-            y = [sign * x for x in v]
-            checked += 1
-            lhs = 2 * _evaluate_exact(W_h.weights, y)
-            rhs = _evaluate_exact(W_g.weights, y)
-            if lhs > rhs and (worst is None or lhs - rhs > worst[0]):
-                worst = (lhs - rhs, y, lhs, rhs)
+    Y = np.array(rays, dtype=object)
+    W = np.array([w for w, _ in W_h.weights + W_g.weights], dtype=object)
+    n_h = len(W_h.weights)
+    pos = np.maximum(Y @ W.T, 0)
+    lhs = pos[:, :n_h] @ np.array([2 * m for _, m in W_h.weights], dtype=object)
+    rhs = pos[:, n_h:] @ np.array([m for _, m in W_g.weights], dtype=object)
+    gap = lhs - rhs
+    checked = len(rays)
     tables["rays"] = checked
-    if worst is not None:
-        gap, y, lhs, rhs = worst
-        norm = float(np.linalg.norm([float(x) for x in y]))
-        yl = [float(x) / norm for x in y]
-        return BKCertificate(
-            "Violated",
-            {
-                "ray": yl,
-                "two_rho_sub": float(lhs) / norm,
-                "rho_ambient": float(rhs) / norm,
-            },
-            checked,
-            tables,
-        )
-    return BKCertificate("Contained", None, checked, tables)
-
-
-def _bk_float(W_h, W_g, k, tables) -> BKCertificate:
-    """Float fallback for non-integral weights (not hit by the catalog)."""
-    nonzero = [np.array(w, dtype=float) for w, _ in W_h.weights + W_g.weights
-               if any(abs(x) > 0 for x in w)]
-    if not nonzero:
-        return BKCertificate("Contained", None, 0, tables)
-    planes = np.unique(
-        np.array([w / np.linalg.norm(w) * np.sign(next(x for x in w if x != 0) or 1)
-                  for w in nonzero]).round(9), axis=0
+    i = int(np.argmax(gap))
+    if gap[i] <= 0:
+        return BKCertificate("Contained", None, checked, tables)
+    y = Y[i].astype(float)
+    norm = float(np.linalg.norm(y))
+    return BKCertificate(
+        "Violated",
+        {
+            "ray": (y / norm).tolist(),
+            "two_rho_sub": float(lhs[i]) / norm,
+            "rho_ambient": float(rhs[i]) / norm,
+        },
+        checked,
+        tables,
     )
-    full_rank = np.linalg.matrix_rank(planes, tol=1e-9)
-    d = full_rank
-    rays = []
-    if d == 1:
-        rays = [planes[0]]
-    else:
-        for subset in combinations(range(len(planes)), d - 1):
-            sub = planes[list(subset)]
-            if np.linalg.matrix_rank(sub, tol=1e-9) != d - 1:
-                continue
-            u, s, vt = np.linalg.svd(np.vstack([sub, np.zeros((1, k))]))
-            v = vt[-1]
-            if np.max(np.abs(planes @ v)) > 1e-9:
-                rays.append(v)
-    worst = None
-    checked = 0
-    for v in rays:
-        for sign in (1.0, -1.0):
-            y = sign * v
-            checked += 1
-            lhs, rhs = 2 * rho(W_h, y), rho(W_g, y)
-            if lhs > rhs + 1e-9 and (worst is None or lhs - rhs > worst[0]):
-                worst = (lhs - rhs, y, lhs, rhs)
-    tables["rays"] = checked
-    if worst is not None:
-        _, y, lhs, rhs = worst
-        return BKCertificate(
-            "Violated",
-            {"ray": [float(x) for x in y], "two_rho_sub": lhs, "rho_ambient": rhs},
-            checked,
-            tables,
-        )
-    return BKCertificate("Contained", None, checked, tables)

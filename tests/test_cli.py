@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from orbitcone import cli
+from orbitcone import build_algebra, cli, make_embedding
 from orbitcone.induction import SaturationResult
 
 
@@ -85,6 +85,14 @@ def test_bad_input_exits_2_without_report(tmp_path, args):
     assert not (out / "directions.csv").exists()
 
 
+@pytest.mark.parametrize("spec", ["pair(sl2R)", "pair(sl2R, a, a)"])
+def test_pair_spec_needs_two_arguments(tmp_path, capsys, spec):
+    code, rep, _ = run(["tempered", "--pair", spec], tmp_path)
+    assert code == 2
+    assert rep is None
+    assert "needs two arguments" in capsys.readouterr().err
+
+
 def test_inconclusive_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli,
@@ -98,6 +106,16 @@ def test_inconclusive_exits_3(tmp_path, monkeypatch):
     )
     assert code == 3
     assert rep["result"]["verdict"] == "unknown"
+
+
+def test_tempered_unknown_exits_3(tmp_path, monkeypatch):
+    # every catalog pair has integral weights; this hand-built one does not
+    E = make_embedding(build_algebra("sl2R"), build_algebra("a"), [[0.3, 0, 0]])
+    monkeypatch.setattr(cli, "pair_embedding", lambda spec: E)
+    code, rep, _ = run(["tempered", "--pair", "pair(sl2R, a)"], tmp_path)
+    assert code == 3
+    assert rep["result"]["verdict"] == "Unknown"
+    assert rep["result"]["rays_checked"] == 0
 
 
 def test_saturation_false_exits_0(tmp_path):

@@ -20,7 +20,12 @@ from orbitcone import (
     saturation_is_full,
 )
 from orbitcone.errors import BadPartition, NonCommuting, UnsupportedAlgebra
-from orbitcone.induction import algebra_rank, cartan_signature_search, induced_cone_samples
+from orbitcone.induction import (
+    algebra_rank,
+    cartan_signature_search,
+    decomposability_obstructed,
+    induced_cone_samples,
+)
 from orbitcone.liealg import random_group_words
 
 PAIR_SPECS = [
@@ -228,3 +233,10 @@ def test_block_embedding_partition_rules():
 def test_blocks_need_orthogonal_ambient():
     with pytest.raises(UnsupportedAlgebra):
         pair_embedding("pair(sl2R, blocks[(1,1)])")
+
+
+def test_decomposability_obstructed_by_class_counts():
+    assert not decomposability_obstructed({"Zero": 1})
+    assert not decomposability_obstructed({"Elliptic": 40, "Nilpotent": 2})
+    assert decomposability_obstructed({"Elliptic": 40, "Hyperbolic": 1})
+    assert decomposability_obstructed({"Mixed": 1})

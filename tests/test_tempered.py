@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcone import (
     bk_weak_containment,
@@ -11,7 +13,7 @@ from orbitcone import (
     weights_of_action,
 )
 from orbitcone.liealg import ad_matrix
-from orbitcone.tempered import rho_batch
+from orbitcone.tempered import WeightSystem, _bk_rays, rho_batch
 
 
 def ad_action(L, rows):
@@ -101,6 +103,19 @@ def test_diagonal_pair_boundary_contained():
     assert cert.verdict == "Contained"
 
 
+def test_non_integral_weights_unknown():
+    # the split line acting with weights +-0.6 on sl2R
+    E = make_embedding(build_algebra("sl2R"), build_algebra("a"), [[0.3, 0, 0]])
+    cert = bk_weak_containment(E)
+    assert cert.verdict == "Unknown"
+    assert cert.witness is None
+    assert cert.rays_checked == 0
+    t = cert.weight_tables
+    assert t["split_dim"] == 1
+    assert sorted(w[0] for w, _ in t["ambient_weights"]) == pytest.approx([-0.6, 0.0, 0.6])
+    assert t["sub_weights"] == [[[0], 1]]
+
+
 def test_so22_so21_boundary_contained():
     E = pair_embedding("pair(so(2,2), blocks[(2,1),(0,1)])")
     cert = bk_weak_containment(E)
@@ -173,3 +188,41 @@ def test_base_change_invariance():
 def test_split_abelian_rejects_compact():
     E = pair_embedding("pair(sl2R, so(2))")
     assert split_abelian(E).shape[0] == 0
+
+
+@st.composite
+def weight_systems(draw, k):
+    """Integral weight systems on a k-dim space, closed under negation
+    with equal multiplicities."""
+    groups: dict = {}
+    for _ in range(draw(st.integers(1, 4))):
+        w = tuple(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
+        m = draw(st.integers(1, 3))
+        for v in {w, tuple(-x for x in w)}:
+            groups[v] = groups.get(v, 0) + m
+    return WeightSystem(k, tuple(sorted(groups.items())), True)
+
+
+@st.composite
+def weight_pairs(draw):
+    k = draw(st.integers(1, 3))
+    return k, draw(weight_systems(k)), draw(weight_systems(k))
+
+
+@settings(max_examples=500, deadline=None)
+@given(weight_pairs())
+def test_bk_rays_agree_with_sphere_sampling(pair):
+    k, Wh, Wg = pair
+    cert = _bk_rays(Wh, Wg, k, {})
+    if cert.verdict == "Contained":
+        ys = np.random.default_rng(0).standard_normal((4000, k))
+        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        assert np.max(2 * rho_batch(Wh, ys) - rho_batch(Wg, ys)) <= 1e-9
+    else:
+        assert cert.verdict == "Violated"
+        w = cert.witness
+        y = np.array([w["ray"]])
+        assert np.linalg.norm(y) == pytest.approx(1.0)
+        assert w["two_rho_sub"] == pytest.approx(2 * rho_batch(Wh, y)[0], abs=1e-9)
+        assert w["rho_ambient"] == pytest.approx(rho_batch(Wg, y)[0], abs=1e-9)
+        assert w["two_rho_sub"] > w["rho_ambient"]
