@@ -8,7 +8,8 @@ direction sets go to CSV side files with one coordinate column per basis
 element.
 
 Exit codes: 0 success, 2 validation error, 3 mathematically inconclusive
-(e.g. a saturation search that exhausts its budget without a verdict).
+(a saturation search that exhausts its budget without a verdict, or a
+tempered check that answers Unknown because the weights are not integral).
 """
 
 from __future__ import annotations
@@ -73,9 +74,21 @@ CLAIMS = {
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.replace(";", ",").split(",") if x.strip() != ""])
+        v = np.array([float(x) for x in text.replace(";", ",").split(",") if x.strip() != ""])
     except ValueError as e:
         raise OrbitConeError(f"cannot parse vector {text!r}: {e}") from None
+    if not np.all(np.isfinite(v)):
+        raise OrbitConeError(f"vector entries must be finite, got {text!r}")
+    return v
+
+
+def _check_numeric_options(args) -> None:
+    if args.samples < 1:
+        raise OrbitConeError(f"--samples must be at least 1, got {args.samples}")
+    if not (np.isfinite(args.angular_tol) and args.angular_tol > 0):
+        raise OrbitConeError(
+            f"--angular-tol must be finite and positive, got {args.angular_tol}"
+        )
 
 
 def _parse_radii(text: str):
@@ -280,6 +293,11 @@ def _cmd_restrict(args, out_dir: Path) -> int:
         C = quaternionic_wf(budget=args.samples, seed=args.seed)
     elif args.cone in EXACT_NAMES:
         C = exact_cone(args.cone, E.ambient.name, E.ambient.dim)
+    elif args.cone is not None:
+        raise OrbitConeError(
+            f"unknown cone {args.cone!r}: use 'quaternionic' or one of "
+            f"{', '.join(EXACT_NAMES)}"
+        )
     elif args.rep is not None:
         spec = representation(args.rep)
         if spec.orbital_support.algebra != E.ambient.name:
@@ -512,6 +530,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     out_dir = Path(args.out)
     try:
+        _check_numeric_options(args)
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args, out_dir)
     except OrbitConeError as e:

@@ -25,6 +25,7 @@ from .errors import (
     InsufficientRadii,
     UnsupportedAlgebra,
 )
+from .liealg import null_rows
 
 EXACT_NAMES = (
     "Nplus",
@@ -118,16 +119,6 @@ def sampled_cone(directions, algebra: str, tol: float = DEFAULT_RESOLUTION) -> C
 
 # ---------------------------------------------------------------------------
 # angular helpers
-
-
-def _unit(v):
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
-
-
-def angular_distance(u, v) -> float:
-    return float(np.arccos(np.clip(np.dot(_unit(u), _unit(v)), -1.0, 1.0)))
 
 
 def _min_angles_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -402,15 +393,6 @@ def ac_union_check(
 # duals and conic neighborhoods
 
 
-def _null_space(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the null space (columns)."""
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > rtol * max(a.shape) * (s[0] if len(s) else 1.0)))
-    return vt[rank:].T
-
-
 def dual_cone(C: ConeDescription) -> ConeDescription:
     """Dual cone {xi : <xi, y> <= 0 for every generator y}.
 
@@ -428,11 +410,11 @@ def dual_cone(C: ConeDescription) -> ConeDescription:
     if len(g) == 0:
         gens = np.vstack([np.eye(d), -np.eye(d)])
         return polyhedral_cone(gens, C.algebra)
-    lin = _null_space(g)  # lineality of the dual
+    lin = null_rows(g, 1e-10 * max(g.shape), 0.0).T  # lineality of the dual
     d2 = d - lin.shape[1]
     rays = []
     if d2 > 0:
-        basis = _null_space(lin.T)  # complement of the lineality
+        basis = null_rows(lin.T, 1e-10 * max(lin.shape), 0.0).T  # its complement
         gp = g @ basis  # constraints in quotient coordinates, full rank d2
         if d2 == 1:
             for sign in (1.0, -1.0):
@@ -446,7 +428,7 @@ def dual_cone(C: ConeDescription) -> ConeDescription:
             seen = []
             for idx in combinations(range(m), d2 - 1):
                 sub = gp[list(idx)]
-                ns = _null_space(sub)
+                ns = null_rows(sub, 1e-10 * max(sub.shape), 0.0).T
                 if ns.shape[1] != 1:
                     continue
                 u = ns[:, 0]

@@ -46,25 +46,12 @@ from .liealg import (
     check_coords,
     classify_batch,
     matrix_coords,
+    null_rows,
     random_group_words,
 )
 
 BRACKET_TOL = 1e-12
 MAX_CARTAN_SIZE = 8
-
-
-def _null_rows(a: np.ndarray, rtol: float = 1e-9, floor: float = 1.0) -> np.ndarray:
-    """Orthonormal rows spanning the null space of a.
-
-    The cutoff is relative to max(largest singular value, floor): a
-    numerically-zero matrix must count as rank zero, not full rank.
-    """
-    if a.size == 0:
-        return np.eye(a.shape[1] if a.ndim == 2 else 0)
-    u, s, vt = np.linalg.svd(a)
-    scale = max(s[0] if len(s) else 0.0, floor)
-    rank = int(np.sum(s > rtol * scale))
-    return vt[rank:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +82,7 @@ def make_embedding(
     # bracket respect on basis pairs
     for i in range(sub.dim):
         for j in range(i + 1, sub.dim):
-            lhs = bracket(sub, np.eye(sub.dim)[i], np.eye(sub.dim)[j]) @ inc
+            lhs = sub.structure[i, j] @ inc
             rhs = bracket(ambient, inc[i], inc[j])
             if np.max(np.abs(lhs - rhs)) > BRACKET_TOL * max(
                 1.0, np.max(np.abs(rhs))
@@ -104,7 +91,7 @@ def make_embedding(
                     f"inclusion does not respect brackets at pair ({i},{j})"
                 )
     q = np.linalg.solve(sub.gram, inc @ ambient.gram)
-    comp = _null_rows(inc @ ambient.gram)
+    comp = null_rows(inc @ ambient.gram)
     if comp.shape[0] != ambient.dim - sub.dim:
         raise DimensionMismatch("complement dimension mismatch (degenerate pair)")
     stacked = np.vstack([inc, comp]) if comp.size else inc
@@ -167,9 +154,7 @@ def _so_blocks_embedding(p: int, q: int, parts) -> SubalgebraEmbedding:
             ]
             for mloc in fac.basis:
                 big = np.zeros((n, n))
-                for r in range(a + b):
-                    for c in range(a + b):
-                        big[local_to_global[r], local_to_global[c]] = mloc[r, c].real
+                big[np.ix_(local_to_global, local_to_global)] = mloc.real
                 rows.append(matrix_coords(ambient, big))
         off_p += a
         off_q += b
@@ -392,7 +377,7 @@ def algebra_rank(L: MatrixLieAlgebra, seed: int = 0) -> int:
     best = L.dim
     for _ in range(8):
         x = rng.standard_normal(L.dim)
-        best = min(best, _null_rows(ad_matrix(L, x)).shape[0])
+        best = min(best, null_rows(ad_matrix(L, x)).shape[0])
     return best
 
 
@@ -422,15 +407,15 @@ def cartan_signature(L: MatrixLieAlgebra, gens, seed: int = 0) -> tuple[int, int
         idx = np.where(big)[0]
         if len(idx) == 0:
             return (0, k)  # no roots at all: abelian, split by convention
-        if len(idx) != L.dim - _null_rows(a).shape[0]:
+        if len(idx) != L.dim - null_rows(a).shape[0]:
             continue  # not a regular combination, retry
         roots = np.empty((len(idx), k), dtype=complex)
         for r, j in enumerate(idx):
             v = vecs[:, j]
             denom = np.vdot(v, v).real
             roots[r] = [np.vdot(v, ads[i] @ v) / denom for i in range(k)]
-        t_dim = _null_rows(roots.real, rtol=1e-7).shape[0]
-        a_dim = _null_rows(roots.imag, rtol=1e-7).shape[0]
+        t_dim = null_rows(roots.real, rtol=1e-7).shape[0]
+        a_dim = null_rows(roots.imag, rtol=1e-7).shape[0]
         if t_dim + a_dim != k:
             # a genuine Cartan splits into compact plus split directions;
             # anything else is a non-semisimple span
@@ -444,7 +429,7 @@ def _verify_cartan(L: MatrixLieAlgebra, gens, expect_rank: int) -> None:
     if len(g) != expect_rank:
         raise UnsupportedAlgebra("representative has wrong dimension")
     stacked = np.vstack([ad_matrix(L, row) for row in g])
-    cent = _null_rows(stacked, rtol=1e-10)
+    cent = null_rows(stacked, rtol=1e-10)
     if cent.shape[0] != expect_rank:
         raise UnsupportedAlgebra("representative is not maximal abelian")
 
@@ -540,6 +525,18 @@ def cartan_classes(L: MatrixLieAlgebra) -> list[CartanClass]:
     return reps
 
 
+def _regular_signature(L: MatrixLieAlgebra, x, rank: int) -> tuple[int, int] | None:
+    """Cartan signature of the centralizer of x; None when x is not regular
+    (centralizer dimension other than rank) or the centralizer is no Cartan."""
+    cent = null_rows(ad_matrix(L, x))
+    if cent.shape[0] != rank:
+        return None
+    try:
+        return cartan_signature(L, cent)
+    except NonCommuting:
+        return None
+
+
 def cartan_signature_search(
     L: MatrixLieAlgebra, trials: int = 400, seed: int = 0
 ) -> dict:
@@ -550,14 +547,9 @@ def cartan_signature_search(
     found: dict[tuple[int, int], np.ndarray] = {}
     for _ in range(trials):
         x = rng.standard_normal(L.dim)
-        cent = _null_rows(ad_matrix(L, x))
-        if cent.shape[0] != rank:
-            continue
-        try:
-            sig = cartan_signature(L, cent)
-        except NonCommuting:
-            continue
-        found.setdefault(sig, x)
+        sig = _regular_signature(L, x, rank)
+        if sig is not None:
+            found.setdefault(sig, x)
     return found
 
 
@@ -611,7 +603,7 @@ def saturation_is_full(
         return _sl2_saturation_exact(E)
     classes = cartan_classes(E.ambient)
     targets = {c.signature for c in classes}
-    rank = algebra_rank(E.ambient)
+    rank = len(classes[0].generators)  # verified against algebra_rank
     rng = np.random.default_rng(seed)
     comp = E.complement_q
     found: dict[tuple[int, int], list] = {}
@@ -622,13 +614,7 @@ def saturation_is_full(
         pts = w @ comp
         draws += batch
         for y in pts:
-            cent = _null_rows(ad_matrix(E.ambient, y))
-            if cent.shape[0] != rank:
-                continue
-            try:
-                sig = cartan_signature(E.ambient, cent)
-            except NonCommuting:
-                continue
+            sig = _regular_signature(E.ambient, y, rank)
             if sig in targets and sig not in found:
                 found[sig] = [float(v) for v in y]
                 if len(found) == len(targets):

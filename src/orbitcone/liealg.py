@@ -441,6 +441,17 @@ def random_group_words(
     return out
 
 
+def null_rows(a: np.ndarray, rtol: float = 1e-9, floor: float = 1.0) -> np.ndarray:
+    """Orthonormal rows spanning the null space of a (the identity when a is
+    empty).  The rank counts singular values above rtol * max(largest, floor),
+    so with floor > 0 a numerically-zero matrix has rank zero, not full rank."""
+    if a.size == 0:
+        return np.eye(a.shape[1] if a.ndim == 2 else 0)
+    _, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > rtol * max(s[0], floor)))
+    return vt[rank:]
+
+
 # ---------------------------------------------------------------------------
 # classification
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonCommuting, UnsupportedAlgebra
 from .induction import SubalgebraEmbedding
-from .liealg import MatrixLieAlgebra, ad_matrix
+from .liealg import MatrixLieAlgebra, ad_matrix, null_rows
 
 COMMUTE_TOL = 1e-9
 INT_SNAP_TOL = 1e-6
@@ -111,13 +111,11 @@ def weights_of_action(mats, module_dim: int | None = None) -> WeightSystem:
         lam_rows, mults = [], []
         ok = True
         for c in centers:
-            _, s, vt = np.linalg.svd(t - c * np.eye(n))
-            gap = 1e-7 * max(scale, 1.0)
-            mult = int(np.sum(s <= gap))
+            V = null_rows(t - c * np.eye(n), rtol=1e-7, floor=scale).T
+            mult = V.shape[1]
             if mult == 0:
                 ok = False
                 break
-            V = vt[n - mult :].T  # orthonormal eigenspace basis
             row = np.empty(k)
             for i in range(k):
                 B = mats[i] @ V

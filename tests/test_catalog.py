@@ -112,3 +112,13 @@ def test_sopq_family_embedding_is_valid():
     lhs = E.q.T @ E.sub.gram
     rhs = E.ambient.gram @ E.inclusion.T
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.slow
+def test_golden_table_holds_over_seeds():
+    worst = {}
+    for seed in range(20):
+        for row in golden_table(seed=seed):
+            assert row["ok"], f"{row['label']} fails at seed {seed}: {row['defect']:.4f}"
+            worst[row["label"]] = max(worst.get(row["label"], 0.0), row["defect"])
+    print(f"worst L2_GK defect over seeds 0-19: {worst['L2_GK']:.4f}")

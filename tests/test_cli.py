@@ -75,14 +75,34 @@ def test_validation_errors_exit_2(tmp_path):
         ["wavefront", "--rep", "L2_GK", "--radii", "1,a,3"],
         ["dual", "--generators", "1,2;3"],
         ["orbit-sample", "--orbit", "ell+:0"],
+        ["classify", "--algebra", "sl2R", "--point", "1,0,nan"],
+        ["wavefront", "--rep", "L2_GK", "--radii", "10,100,inf"],
+        ["wavefront", "--rep", "sigma_disc:3:+", "--samples", "-5"],
+        ["wavefront", "--rep", "sigma_disc:3:+", "--samples", "0"],
+        ["orbit-sample", "--orbit", "hyp:1", "--samples", "-3"],
+        ["measure-scan", "--samples", "0"],
+        ["saturation", "--pair", "so(3,1)|blocks[(2,1),(1,0)]", "--samples", "0"],
+        ["ac", "--rep", "sigma_disc:3:+", "--angular-tol", "nan"],
+        ["ac", "--rep", "sigma_disc:3:+", "--angular-tol", "0"],
+        ["golden-table", "--angular-tol=-inf"],
+        ["restrict", "--pair", "sl2R|a", "--cone", "Bogus"],
     ],
-    ids=["orbit-value", "radii", "ragged-generators", "ell-zero"],
+    ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
+         "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
+         "scan-samples-zero", "saturation-samples-zero", "angular-tol-nan",
+         "angular-tol-zero", "angular-tol-neg-inf", "unknown-cone"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, args):
     code, rep, out = run(args, tmp_path)
     assert code == 2
     assert rep is None
     assert not (out / "directions.csv").exists()
+
+
+def test_restrict_names_unknown_cone(tmp_path, capsys):
+    code, _, _ = run(["restrict", "--pair", "sl2R|a", "--cone", "Bogus"], tmp_path)
+    assert code == 2
+    assert "unknown cone 'Bogus'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["pair(sl2R)", "pair(sl2R, a, a)"])

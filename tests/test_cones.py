@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcone import (
     OrbitParam,
@@ -151,6 +153,30 @@ def test_double_dual_recovery_small_dims():
                 assert min(
                     np.linalg.norm(np.array(v) - np.array(w)) for v in r1
                 ) < 1e-9
+
+
+@st.composite
+def _integer_generators(draw):
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                         min_size=n, max_size=n))
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_integer_generators())
+def test_double_dual_is_the_cone(g):
+    # closed polyhedral cones are their own double duals: every generator of
+    # each side lies in the other
+    C = polyhedral_cone(g)
+    D1 = dual_cone(C)
+    D2 = dual_cone(D1)
+    assert np.max(g @ D1.generators.T) <= 1e-9
+    for v in D2.generators:
+        assert cone_contains(C, v, tol=1e-7)
+    for v in g:
+        assert cone_contains(D2, v, tol=1e-7)
 
 
 def test_dual_requires_polyhedral():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from orbitcone import (
     restriction_lower_bound,
     saturation_is_full,
 )
-from orbitcone.errors import BadPartition, NonCommuting, UnsupportedAlgebra
+from orbitcone.errors import (
+    BadPartition,
+    DimensionMismatch,
+    NonCommuting,
+    UnsupportedAlgebra,
+)
 from orbitcone.induction import (
     algebra_rank,
     cartan_signature_search,
@@ -54,6 +61,20 @@ def test_embedding_respects_brackets(embedding):
             lhs = bracket(E.sub, np.eye(E.sub.dim)[i], np.eye(E.sub.dim)[j]) @ E.inclusion
             rhs = bracket(E.ambient, E.inclusion[i], E.inclusion[j])
             assert np.allclose(lhs, rhs, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "sub, rows, pair",
+    [
+        # [x, y] = -2z in sl2R, so doubling z breaks the first pair
+        ("sl2R", [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "(0,1)"),
+        # the first two rows commute, x and y do not
+        ("abelian(3)", [[1, 0, 0], [2, 0, 0], [0, 1, 0]], "(0,2)"),
+    ],
+)
+def test_wrong_inclusion_names_its_pair(sub, rows, pair):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"at pair {pair}")):
+        make_embedding(build_algebra("sl2R"), build_algebra(sub), rows)
 
 
 def test_pullback_identity(embedding):

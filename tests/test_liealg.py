@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from orbitcone import (
@@ -18,7 +20,7 @@ from orbitcone import (
     pairing,
 )
 from orbitcone.errors import DimensionMismatch, UnsupportedAlgebra
-from orbitcone.liealg import element_matrix, random_group_words
+from orbitcone.liealg import element_matrix, null_rows, random_group_words
 
 CATALOG = [
     "sl2R",
@@ -218,3 +220,42 @@ def test_dimension_mismatch_rejected():
     L = build_algebra("sl2R")
     with pytest.raises(DimensionMismatch):
         pairing(L, [1.0, 0.0], [0.0, 1.0, 0.0])
+
+
+def _orthonormal(rows):
+    return np.allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
+
+
+def test_null_rows_numerically_zero_matrix_has_rank_zero():
+    noise = 1e-14 * np.random.default_rng(31).standard_normal((3, 4))
+    for a in (np.zeros((3, 4)), noise):
+        rows = null_rows(a)
+        assert rows.shape == (4, 4) and _orthonormal(rows)
+    # a purely relative cut-off would read the noise as full rank
+    assert null_rows(noise, floor=0.0).shape == (1, 4)
+
+
+def test_null_rows_of_empty_matrix_is_identity():
+    assert np.array_equal(null_rows(np.zeros((0, 3))), np.eye(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 8), data=st.data())
+def test_null_rows_of_integer_product_has_corank(d, data):
+    # B = [I; X] and C = [I | Y] (rows and columns shuffled) have rank r,
+    # and so does B @ C: its r-th singular value is at least 1
+    r = data.draw(st.integers(0, d), label="r")
+    m = data.draw(st.integers(r, 8), label="m")
+    ints = st.integers(-3, 3)
+    X = np.array(data.draw(st.lists(ints, min_size=(m - r) * r, max_size=(m - r) * r)),
+                 dtype=float).reshape(m - r, r)
+    Y = np.array(data.draw(st.lists(ints, min_size=r * (d - r), max_size=r * (d - r))),
+                 dtype=float).reshape(r, d - r)
+    B = np.vstack([np.eye(r), X])[data.draw(st.permutations(range(m)), label="rows")]
+    C = np.hstack([np.eye(r), Y])[:, data.draw(st.permutations(range(d)), label="cols")]
+    a = B @ C
+    rows = null_rows(a)
+    assert rows.shape == (d - r, d)
+    assert _orthonormal(rows)
+    size = max(1.0, np.abs(a).max(initial=0.0))
+    assert np.max(np.abs(a @ rows.T), initial=0.0) <= 1e-9 * size
