@@ -140,7 +140,6 @@ def wavefront_of(
     samples_per_radius: int = 6000,
     seed: int = 0,
     resolution: float = DEFAULT_RESOLUTION,
-    use_exact_tag: bool = False,
 ) -> ConeDescription:
     """Wave front set of a catalog representation: the asymptotic cone of
     its orbital support."""
@@ -150,7 +149,6 @@ def wavefront_of(
         samples_per_radius=samples_per_radius,
         seed=seed,
         resolution=resolution,
-        use_exact_tag=use_exact_tag,
     )
 
 
@@ -179,9 +177,7 @@ def golden_table(
     for label, expected in GOLDEN_ROWS:
         t0 = time.perf_counter()
         spec = representation(label)
-        cone = wavefront_of(
-            spec, samples_per_radius=samples_per_radius, seed=seed, use_exact_tag=False
-        )
+        cone = wavefront_of(spec, samples_per_radius=samples_per_radius, seed=seed)
         target = exact_cone(expected, "sl2R", 3)
         ok, defect = cone_equal(cone, target, angular_tol=angular_tol)
         rows.append(

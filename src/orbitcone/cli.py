@@ -4,10 +4,18 @@ Every subcommand writes report.json with sections {config, inputs,
 result, certificates, timings}.  Reports are byte-deterministic for a
 fixed configuration: timings are only recorded when --timings is passed,
 since wall-clock values would break determinism.  Point clouds and
-direction sets go to CSV side files with one coordinate column per basis
-element.
+direction sets go only to CSV side files, with one coordinate column per
+basis element; a sampled cone's record in report.json keeps its
+resolution ``tol`` and its count ``n_directions``.
 
-Exit codes: 0 success, 2 validation error, 3 mathematically inconclusive
+Each subcommand computes and returns its report sections and side tables;
+``main`` builds the config section from the parsed options and writes
+every file.  Each parser takes only the options its subcommand reads:
+--seed, --out and --timings everywhere, --samples where something is
+sampled, --radii and --angular-tol only where they are used.
+
+Exit codes: 0 success, 2 validation error (bad options, bad numeric
+values, unknown names; nothing is written), 3 mathematically inconclusive
 (a saturation search that exhausts its budget without a verdict, or a
 tempered check that answers Unknown because the weights are not integral).
 """
@@ -21,6 +29,7 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,15 +91,6 @@ def _parse_vector(text: str) -> np.ndarray:
     return v
 
 
-def _check_numeric_options(args) -> None:
-    if args.samples < 1:
-        raise OrbitConeError(f"--samples must be at least 1, got {args.samples}")
-    if not (np.isfinite(args.angular_tol) and args.angular_tol > 0):
-        raise OrbitConeError(
-            f"--angular-tol must be finite and positive, got {args.angular_tol}"
-        )
-
-
 def _parse_radii(text: str):
     vals = tuple(_parse_vector(text))
     if len(vals) < 3:
@@ -139,20 +139,6 @@ def _clean(obj):
     return obj
 
 
-def _write_report(out_dir: Path, config: dict, inputs: dict, result: dict,
-                  certificates: dict, timings: dict) -> Path:
-    report = {
-        "config": config,
-        "inputs": inputs,
-        "result": result,
-        "certificates": certificates,
-        "timings": timings,
-    }
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(_clean(report), sort_keys=True, indent=2) + "\n")
-    return path
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -162,74 +148,85 @@ def _write_csv(path: Path, header, rows) -> None:
                         for x in row])
 
 
-def _directions_csv(out_dir: Path, algebra_name: str, dirs) -> str:
-    L = build_algebra(algebra_name)
-    path = out_dir / "directions.csv"
-    _write_csv(path, list(L.basis_names), np.asarray(dirs, dtype=float))
-    return str(path)
+class _Run(NamedTuple):
+    """What a subcommand hands to ``main``: its report sections, its side
+    tables (output key -> (file name, header, rows)), the extra entries of
+    the --timings section and its exit code."""
+
+    inputs: dict
+    result: dict
+    certificates: dict = {}
+    tables: dict = {}
+    timings: dict = {}
+    code: int = 0
 
 
-def _base_config(args, command: str, samples, radii) -> dict:
+def _config(args) -> dict:
+    """The config section of a run, from its parsed options.
+
+    Numeric options are checked here, before anything runs."""
+    budgets, tolerances = {}, {"numeric": 1e-9}
+    if "samples" in args:
+        if args.samples < 1:
+            raise OrbitConeError(f"--samples must be at least 1, got {args.samples}")
+        budgets["samples"] = args.samples
+    if "radii" in args:
+        budgets["radii"] = list(_parse_radii(args.radii))
+    if "angular_tol" in args:
+        if not (np.isfinite(args.angular_tol) and args.angular_tol > 0):
+            raise OrbitConeError(
+                f"--angular-tol must be finite and positive, got {args.angular_tol}"
+            )
+        tolerances["angular"] = args.angular_tol
     return {
-        "command": command,
+        "command": args.command,
         "arguments": {
             k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "out", "command") and not k.startswith("_")
-            and v is not None
+            if k not in ("func", "command", "out") and v is not None
         },
         "seed": args.seed,
-        "budgets": {"samples": samples, "radii": list(radii)},
-        "tolerances": {"angular": args.angular_tol, "numeric": 1e-9},
+        "budgets": budgets,
+        "tolerances": tolerances,
         "outputs": {"report": "report.json"},
-        "claim": CLAIMS[command],
+        "claim": CLAIMS[args.command],
     }
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes, none touches the file system
 
 
-def _cmd_classify(args, out_dir: Path) -> int:
+def _cmd_classify(args) -> _Run:
     L = build_algebra(args.algebra)
     point = _parse_vector(args.point)
     cls = classify_element(L, point)
-    config = _base_config(args, "classify", 1, ())
-    _write_report(
-        out_dir, config,
+    return _Run(
         {"algebra": L.name, "point": point},
         {"class": cls.tag, "eigen_summary": cls.eigen_summary},
-        {}, _timings(args),
     )
-    return 0
 
 
-def _cmd_orbit_sample(args, out_dir: Path) -> int:
+def _cmd_orbit_sample(args) -> _Run:
     L = build_algebra(args.algebra)
     param = _parse_orbit(args.orbit)
+    if not (np.isfinite(args.radius) and args.radius > 0):
+        raise OrbitConeError(f"--radius must be finite and positive, got {args.radius}")
     pts = orbit_sample(L, param, args.samples, seed=args.seed, radius=args.radius)
-    path = out_dir / "directions.csv"
-    _write_csv(path, list(L.basis_names), pts)
     inv = [sl2_casimir(p) for p in pts[:16]] if L.chart == "sl2" else []
-    config = _base_config(args, "orbit-sample", args.samples, ())
-    config["outputs"]["points"] = "directions.csv"
-    _write_report(
-        out_dir, config,
+    return _Run(
         {"algebra": L.name, "orbit": args.orbit},
         {"count": len(pts), "quadric_invariant_head": inv},
-        {}, _timings(args),
+        tables={"points": ("directions.csv", L.basis_names, pts)},
     )
-    return 0
 
 
-def _cmd_ac(args, out_dir: Path) -> int:
+def _cmd_ac(args) -> _Run:
     spec = representation(args.rep)
-    radii = _parse_radii(args.radii)
     cone = wavefront_of(
-        spec, radii=radii, samples_per_radius=args.samples, seed=args.seed
+        spec, radii=_parse_radii(args.radii), samples_per_radius=args.samples,
+        seed=args.seed,
     )
-    dirs = np.asarray(cone_directions(cone, DEFAULT_RESOLUTION, args.seed))
-    _directions_csv(out_dir, spec.orbital_support.algebra, dirs)
-    result = {"cone": cone_record(cone), "n_directions": len(dirs)}
+    dirs = cone_directions(cone, DEFAULT_RESOLUTION, args.seed)
     expected = dict(GOLDEN_ROWS).get(spec.label)
     certificates = {}
     if expected is not None:
@@ -237,14 +234,16 @@ def _cmd_ac(args, out_dir: Path) -> int:
             cone, exact_cone(expected, "sl2R", 3), angular_tol=args.angular_tol
         )
         certificates = {"expected": expected, "match": bool(ok), "defect": defect}
-    config = _base_config(args, "ac", args.samples, radii)
-    config["outputs"]["directions"] = "directions.csv"
-    _write_report(out_dir, config, {"rep": spec.label}, result, certificates,
-                  _timings(args))
-    return 0
+    L = build_algebra(spec.orbital_support.algebra)
+    return _Run(
+        {"rep": spec.label},
+        {"cone": cone_record(cone), "n_directions": len(dirs)},
+        certificates,
+        tables={"directions": ("directions.csv", L.basis_names, dirs)},
+    )
 
 
-def _cmd_dual(args, out_dir: Path) -> int:
+def _cmd_dual(args) -> _Run:
     gens = [
         _parse_vector(part) for part in args.generators.split(";") if part.strip()
     ]
@@ -252,42 +251,32 @@ def _cmd_dual(args, out_dir: Path) -> int:
         raise OrbitConeError(
             f"generators have different lengths: {[len(g) for g in gens]}"
         )
-    cone = polyhedral_cone(np.array(gens))
-    dual = dual_cone(cone)
-    config = _base_config(args, "dual", 0, ())
-    _write_report(
-        out_dir, config,
-        {"generators": [g.tolist() for g in gens]},
-        {"dual": cone_record(dual)},
-        {}, _timings(args),
+    dual = dual_cone(polyhedral_cone(np.array(gens)))
+    return _Run(
+        {"generators": [g.tolist() for g in gens]}, {"dual": cone_record(dual)}
     )
-    return 0
 
 
-def _cmd_induce(args, out_dir: Path) -> int:
+def _cmd_induce(args) -> _Run:
     E = pair_embedding(_parse_pair_spec(args.pair))
     S = exact_cone(args.sub_cone, E.sub.name, E.sub.dim)
     cone = induced_cone(E, S, budget=args.samples, seed=args.seed)
-    dirs = np.asarray(cone_directions(cone, DEFAULT_RESOLUTION, args.seed))
+    dirs = cone_directions(cone, DEFAULT_RESOLUTION, args.seed)
     counts: dict[str, int] = {}
+    tables = {}
     if len(dirs):
         for t in classify_batch(E.ambient, dirs):
             counts[str(t)] = counts.get(str(t), 0) + 1
-        _directions_csv(out_dir, E.ambient.name, dirs)
-    config = _base_config(args, "induce", args.samples, ())
-    if len(dirs):
-        config["outputs"]["directions"] = "directions.csv"
-    _write_report(
-        out_dir, config,
+        tables["directions"] = ("directions.csv", E.ambient.basis_names, dirs)
+    return _Run(
         {"pair": E.name, "sub_cone": args.sub_cone,
          "annihilator_dim": int(E.complement_q.shape[0])},
         {"cone": cone_record(cone), "class_counts": counts},
-        {}, _timings(args),
+        tables=tables,
     )
-    return 0
 
 
-def _cmd_restrict(args, out_dir: Path) -> int:
+def _cmd_restrict(args) -> _Run:
     E = pair_embedding(_parse_pair_spec(args.pair))
     if args.cone == "quaternionic":
         C = quaternionic_wf(budget=args.samples, seed=args.seed)
@@ -312,51 +301,42 @@ def _cmd_restrict(args, out_dir: Path) -> int:
         raise OrbitConeError("restrict needs --cone or --rep")
     bound = restriction_lower_bound(E, C, seed=args.seed)
     counts = restriction_class_counts(E, C, seed=args.seed)
-    dirs = np.asarray(cone_directions(bound, DEFAULT_RESOLUTION, args.seed))
-    config = _base_config(args, "restrict", args.samples, ())
+    dirs = cone_directions(bound, DEFAULT_RESOLUTION, args.seed)
+    tables = {}
     if len(dirs):
-        _directions_csv(out_dir, E.sub.name, dirs)
-        config["outputs"]["directions"] = "directions.csv"
-    _write_report(
-        out_dir, config,
+        tables["directions"] = ("directions.csv", E.sub.basis_names, dirs)
+    return _Run(
         {"pair": E.name, "cone": args.cone or args.rep},
         {"lower_bound": cone_record(bound), "class_counts": counts,
          "discretely_decomposable_obstructed": decomposability_obstructed(counts)},
-        {}, _timings(args),
+        tables=tables,
     )
-    return 0
 
 
-def _cmd_tempered(args, out_dir: Path) -> int:
+def _cmd_tempered(args) -> _Run:
     E = pair_embedding(_parse_pair_spec(args.pair))
     cert = bk_weak_containment(E)
-    config = _base_config(args, "tempered", 0, ())
-    _write_report(
-        out_dir, config,
+    return _Run(
         {"pair": E.name},
         {"verdict": cert.verdict, "witness": cert.witness,
          "rays_checked": cert.rays_checked},
         {"weight_tables": cert.weight_tables},
-        _timings(args),
+        code=0 if cert.verdict != "Unknown" else 3,
     )
-    return 0 if cert.verdict != "Unknown" else 3
 
 
-def _cmd_saturation(args, out_dir: Path) -> int:
+def _cmd_saturation(args) -> _Run:
     E = pair_embedding(_parse_pair_spec(args.pair))
     res = saturation_is_full(E, budget=args.samples, seed=args.seed)
-    config = _base_config(args, "saturation", args.samples, ())
-    _write_report(
-        out_dir, config,
+    return _Run(
         {"pair": E.name, "annihilator_dim": int(E.complement_q.shape[0])},
         {"verdict": res.verdict, "detail": res.detail},
         res.certificate,
-        _timings(args),
+        code=0 if res.verdict in ("true", "false") else 3,
     )
-    return 0 if res.verdict in ("true", "false") else 3
 
 
-def _cmd_tensor(args, out_dir: Path) -> int:
+def _cmd_tensor(args) -> _Run:
     spec = representation(args.rep)
     m = re.fullmatch(r"tensor\((\d+),([+-]),(\d+),([+-])\)", spec.label)
     if not m:
@@ -365,24 +345,18 @@ def _cmd_tensor(args, out_dir: Path) -> int:
         int(m.group(1)), m.group(2), int(m.group(3)), m.group(4),
         samples=args.samples, seed=args.seed,
     )
-    config = _base_config(args, "tensor", args.samples, ())
-    _write_report(
-        out_dir, config,
-        {"rep": spec.label},
-        report,
-        {}, _timings(args),
-    )
-    return 0
+    return _Run({"rep": spec.label}, report)
 
 
-def _cmd_golden_table(args, out_dir: Path) -> int:
+def _cmd_golden_table(args) -> _Run:
     rows = golden_table(
         seed=args.seed, samples_per_radius=args.samples, angular_tol=args.angular_tol
     )
     all_ok = all(r["ok"] for r in rows)
-    config = _base_config(args, "golden-table", args.samples, DEFAULT_RADII)
-    _write_report(
-        out_dir, config,
+    for r in rows:
+        status = "pass" if r["ok"] else "FAIL"
+        print(f"{status}  {r['label']:18s} -> {r['expected']:16s} defect {r['defect']:.4f}")
+    return _Run(
         {"rows": [r["label"] for r in rows]},
         {
             "rows": [
@@ -391,16 +365,16 @@ def _cmd_golden_table(args, out_dir: Path) -> int:
             ],
             "all_ok": all_ok,
         },
-        {},
-        _timings(args, rows=[{"label": r["label"], "seconds": r["seconds"]} for r in rows]),
+        timings={"rows": [{"label": r["label"], "seconds": r["seconds"]} for r in rows]},
+        code=0 if all_ok else 1,
     )
-    for r in rows:
-        status = "pass" if r["ok"] else "FAIL"
-        print(f"{status}  {r['label']:18s} -> {r['expected']:16s} defect {r['defect']:.4f}")
-    return 0 if all_ok else 1
 
 
-def _cmd_measure_scan(args, out_dir: Path) -> int:
+def _cmd_measure_scan(args) -> _Run:
+    if args.samples < 2:
+        raise OrbitConeError(
+            f"measure-scan needs --samples of at least 2 to fit a slope, got {args.samples}"
+        )
     L = build_algebra(args.algebra)
     param = _parse_orbit(args.orbit)
     base = {"hyp": param.value or 1.0, "ell+": param.value or 1.0,
@@ -415,27 +389,14 @@ def _cmd_measure_scan(args, out_dir: Path) -> int:
         f = density_ratio_F(L, pts[k])
         rows.append((float(np.linalg.norm(pts[k])), float(f)))
     rows.sort()
-    path = out_dir / "fscan.csv"
-    _write_csv(path, ["norm", "F"], rows)
     slope = float(np.polyfit(np.log1p([r[0] for r in rows]),
                              [np.log(max(r[1], 1e-300)) for r in rows], 1)[0])
-    config = _base_config(args, "measure-scan", args.samples, ())
-    config["outputs"]["fscan"] = "fscan.csv"
-    _write_report(
-        out_dir, config,
+    return _Run(
         {"algebra": L.name, "orbit": args.orbit},
         {"slope": slope, "n_points": len(rows)},
         {"bound": "slope <= dim(orbit)/2 + margin"},
-        _timings(args),
+        tables={"fscan": ("fscan.csv", ["norm", "F"], rows)},
     )
-    return 0
-
-
-def _timings(args, **extra) -> dict:
-    """Wall-clock section; ``extra`` timing entries are kept only with --timings."""
-    if getattr(args, "timings", False):
-        return {"recorded": True, "wall_seconds": time.perf_counter() - args._t0, **extra}
-    return {"recorded": False}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,95 +408,97 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=10_000):
+    def add(name, func, help, **defaults):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, **defaults)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--radii", type=str,
-                       default=",".join(f"{r:g}" for r in DEFAULT_RADII))
-        p.add_argument("--angular-tol", type=float, default=0.05)
         p.add_argument("--out", type=str, default=".")
         p.add_argument("--timings", action="store_true")
+        return p
 
-    p = sub.add_parser("classify", help="element class of a dual point")
+    p = add("classify", _cmd_classify, "element class of a dual point")
     p.add_argument("--algebra", required=True)
     p.add_argument("--point", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("orbit-sample", help="sample one coadjoint orbit")
+    p = add("orbit-sample", _cmd_orbit_sample, "sample one coadjoint orbit")
     p.add_argument("--algebra", default="sl2R")
     p.add_argument("--orbit", required=True, help="kind[:value], e.g. ell+:2")
     p.add_argument("--radius", type=float, default=10.0)
-    common(p, samples_default=1000)
-    p.set_defaults(func=_cmd_orbit_sample)
+    p.add_argument("--samples", type=int, default=1000)
 
     for name in ("ac", "wavefront"):
-        p = sub.add_parser(
-            name, help="asymptotic cone of a catalog representation's support"
-        )
+        p = add(name, _cmd_ac, "asymptotic cone of a catalog representation's support",
+                command="ac")
         p.add_argument("--rep", required=True)
-        common(p, samples_default=6000)
-        p.set_defaults(func=_cmd_ac, canonical="ac")
+        p.add_argument("--samples", type=int, default=6000)
+        p.add_argument("--radii", type=str,
+                       default=",".join(f"{r:g}" for r in DEFAULT_RADII))
+        p.add_argument("--angular-tol", type=float, default=0.05)
 
-    p = sub.add_parser("dual", help="dual of a polyhedral cone")
+    p = add("dual", _cmd_dual, "dual of a polyhedral cone")
     p.add_argument("--generators", required=True, help="semicolon-separated vectors")
-    common(p)
-    p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("induce", help="induced cone of a subalgebra pair")
+    p = add("induce", _cmd_induce, "induced cone of a subalgebra pair")
     p.add_argument("--pair", required=True)
     p.add_argument("--sub-cone", default="Zero")
-    common(p, samples_default=100_000)
-    p.set_defaults(func=_cmd_induce)
+    p.add_argument("--samples", type=int, default=100_000)
 
-    p = sub.add_parser("restrict", help="restriction lower bound q(C)")
+    p = add("restrict", _cmd_restrict, "restriction lower bound q(C)")
     p.add_argument("--pair", required=True)
-    p.add_argument("--cone", default=None,
-                   help="exact cone name or 'quaternionic'")
+    p.add_argument("--cone", default=None, help="exact cone name or 'quaternionic'")
     p.add_argument("--rep", default=None)
-    common(p, samples_default=40_000)
-    p.set_defaults(func=_cmd_restrict)
+    p.add_argument("--samples", type=int, default=40_000)
 
-    p = sub.add_parser("tempered", help="weak-containment certificate")
+    p = add("tempered", _cmd_tempered, "weak-containment certificate")
     p.add_argument("--pair", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_tempered)
 
-    p = sub.add_parser("saturation", help="is the saturated annihilator everything")
+    p = add("saturation", _cmd_saturation, "is the saturated annihilator everything")
     p.add_argument("--pair", required=True)
-    common(p, samples_default=100_000)
-    p.set_defaults(func=_cmd_saturation)
+    p.add_argument("--samples", type=int, default=100_000)
 
-    p = sub.add_parser("tensor", help="tensor-pair sum classification")
+    p = add("tensor", _cmd_tensor, "tensor-pair sum classification")
     p.add_argument("--rep", required=True, help="tensor(n,s,m,s) label")
-    common(p)
-    p.set_defaults(func=_cmd_tensor)
+    p.add_argument("--samples", type=int, default=10_000)
 
-    p = sub.add_parser("golden-table", help="recompute the rank-one catalog")
-    common(p, samples_default=6000)
-    p.set_defaults(func=_cmd_golden_table)
+    p = add("golden-table", _cmd_golden_table, "recompute the rank-one catalog")
+    p.add_argument("--samples", type=int, default=6000)
+    p.add_argument("--angular-tol", type=float, default=0.05)
 
-    p = sub.add_parser("measure-scan", help="density ratio growth along an orbit")
+    p = add("measure-scan", _cmd_measure_scan, "density ratio growth along an orbit")
     p.add_argument("--algebra", default="sl2R")
     p.add_argument("--orbit", default="hyp:1")
-    common(p, samples_default=25)
-    p.set_defaults(func=_cmd_measure_scan)
+    p.add_argument("--samples", type=int, default=25)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    args._t0 = time.perf_counter()
-    out_dir = Path(args.out)
     try:
-        _check_numeric_options(args)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, out_dir)
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # --help returns 0, a parser error 2
+        return e.code
+    t0 = time.perf_counter()
+    try:
+        config = _config(args)
+        run = args.func(args)
     except OrbitConeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    timings = {"recorded": False}
+    if args.timings:
+        timings = {"recorded": True, "wall_seconds": time.perf_counter() - t0,
+                   **run.timings}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for key, (name, header, rows) in run.tables.items():
+        _write_csv(out_dir / name, header, rows)
+        config["outputs"][key] = name
+    report = {"config": config, "inputs": run.inputs, "result": run.result,
+              "certificates": run.certificates, "timings": timings}
+    (out_dir / "report.json").write_text(
+        json.dumps(_clean(report), sort_keys=True, indent=2) + "\n"
+    )
+    return run.code
 
 
 if __name__ == "__main__":

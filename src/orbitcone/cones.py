@@ -84,7 +84,6 @@ class FamilyBranch:
 
     label: str
     sample: object
-    unbounded: bool = True
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class PointFamily:
     algebra: str
     dim: int
     branches: tuple
-    exact_tag: str | None = None
 
 
 def exact_cone(name: str, algebra: str, dim: int) -> ConeDescription:
@@ -325,23 +323,18 @@ def asymptotic_cone(
     samples_per_radius: int = 6000,
     seed: int = 0,
     resolution: float = DEFAULT_RESOLUTION,
-    use_exact_tag: bool = False,
 ) -> ConeDescription:
     """Asymptotic cone of a point family.
 
     Samples every branch at each radius of the schedule, keeps the points
     with norm at least the largest radius, and returns their normalized
     directions (deduplicated at the angular resolution) as a sampled cone.
-    A family with a catalog tag can short-circuit to the exact cone via
-    ``use_exact_tag=True``.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InsufficientRadii("need at least 3 strictly increasing radii")
     if not family.branches:
         raise EmptyFamily("family has no branches")
-    if use_exact_tag and family.exact_tag is not None:
-        return exact_cone(family.exact_tag, family.algebra, family.dim)
     rng = np.random.default_rng(seed)
     pools = []
     r_max = radii[-1]
@@ -473,7 +466,10 @@ def conic_neighborhood_contains(xi, delta: float, eta) -> bool:
 
 
 def cone_record(C: ConeDescription) -> dict:
-    """JSON-ready structured record of a cone."""
+    """JSON-ready structured record of a cone.
+
+    A sampled cone records its resolution and its number of directions,
+    not the directions themselves."""
     rec = {"kind": C.kind, "algebra": C.algebra, "dim": C.dim}
     if C.kind == "exact":
         rec["name"] = C.name
@@ -482,7 +478,5 @@ def cone_record(C: ConeDescription) -> dict:
         rec["generators"] = [[round(float(v), 12) for v in row] for row in C.generators]
     else:
         rec["tol"] = C.tol
-        rec["directions"] = [
-            [round(float(v), 12) for v in row] for row in C.directions
-        ]
+        rec["n_directions"] = len(C.directions)
     return rec

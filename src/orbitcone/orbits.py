@@ -83,19 +83,13 @@ def orbit_invariants(L: MatrixLieAlgebra, xi) -> np.ndarray:
 # tangent frames and densities
 
 
-def coadjoint_map(L: MatrixLieAlgebra, xi) -> np.ndarray:
-    """Matrix of X -> ad*_X xi (columns indexed by algebra coordinates)."""
-    c = check_coords(L, xi)
-    return np.einsum("ijk,j->ik", L.structure, c).T
-
-
 def tangent_basis(L: MatrixLieAlgebra, xi) -> np.ndarray:
     """Rows span the orbit tangent space at xi: a maximal independent
     subset of {ad*_(e_i) xi}, chosen deterministically by pivoted QR."""
     c = check_coords(L, xi)
     if np.linalg.norm(c) <= 1e-12:
         raise ZeroPoint("tangent basis needs a nonzero point")
-    cand = coadjoint_map(L, c).T  # row i = ad*_(e_i) xi
+    cand = -ad_matrix(L, c).T  # row i = ad*_(e_i) xi
     if L.dim == 0 or np.max(np.abs(cand)) < 1e-14:
         return np.zeros((0, L.dim))
     _, r, piv = qr(cand.T, pivoting=True)
@@ -113,7 +107,7 @@ def kks_form(L: MatrixLieAlgebra, xi, x, y) -> float:
 def _solve_frame_generators(L, c, vectors):
     """X_i with ad*_(X_i) xi = v_i, least squares (any solution works,
     the form value does not depend on the choice)."""
-    m = coadjoint_map(L, c)
+    m = -ad_matrix(L, c)  # X -> ad*_X xi
     xs, resid = [], 0.0
     for v in vectors:
         sol, res, *_ = np.linalg.lstsq(m, v, rcond=None)
@@ -220,7 +214,7 @@ def _sl2_branch_sampler(kind: str, value: float | None):
         def sample(rng, radius, count):
             return np.zeros((1, 3))
 
-        return sample, False
+        return sample
 
     if kind == "hyp":
         nu = float(value)
@@ -234,7 +228,7 @@ def _sl2_branch_sampler(kind: str, value: float | None):
             th = _angles(rng, count)
             return np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
 
-        return sample, True
+        return sample
 
     if kind in ("ell+", "ell-"):
         n = float(value)
@@ -249,7 +243,7 @@ def _sl2_branch_sampler(kind: str, value: float | None):
             th = _angles(rng, count)
             return np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
 
-        return sample, True
+        return sample
 
     if kind in ("nil+", "nil-"):
         sign = 1.0 if kind == "nil+" else -1.0
@@ -260,7 +254,7 @@ def _sl2_branch_sampler(kind: str, value: float | None):
             th = _angles(rng, count)
             return np.column_stack([r * np.cos(th), r * np.sin(th), sign * r])
 
-        return sample, True
+        return sample
 
     raise UnsupportedAlgebra(f"unknown sl2 orbit kind {kind!r}")
 
@@ -288,49 +282,28 @@ def _generic_branch_sampler(L: MatrixLieAlgebra, base: np.ndarray, conical: bool
             pts = pts * (scales / norms)[:, None]
         return pts
 
-    return sample, True
+    return sample
 
 
 def orbit_branch(L: MatrixLieAlgebra, param: OrbitParam) -> FamilyBranch:
     if L.chart == "sl2" and param.kind in SL2_KINDS:
-        fn, unbounded = _sl2_branch_sampler(param.kind, param.value)
         label = param.kind if param.value is None else f"{param.kind}:{param.value:g}"
-        return FamilyBranch(label=label, sample=fn, unbounded=unbounded)
+        return FamilyBranch(label, _sl2_branch_sampler(param.kind, param.value))
     if param.kind == "point":
         base = check_coords(L, param.base)
         from .liealg import classify_element
 
         conical = classify_element(L, base).tag in ("Nilpotent", "Zero")
-        fn, unbounded = _generic_branch_sampler(L, base, conical)
-        return FamilyBranch(label="point", sample=fn, unbounded=unbounded)
+        return FamilyBranch("point", _generic_branch_sampler(L, base, conical))
     raise UnsupportedAlgebra(
         f"orbit kind {param.kind!r} not available on {L.name}"
     )
 
 
-_SINGLE_ORBIT_TAGS = {
-    "hyp": "N",
-    "ell+": "Nplus",
-    "ell-": "Nminus",
-    "nil+": "Nplus",
-    "nil-": "Nminus",
-    "zero": "Zero",
-}
-
-
 def orbit_family(L: MatrixLieAlgebra, params) -> PointFamily:
     """Point family made of finitely many orbits."""
     branches = tuple(orbit_branch(L, p) for p in params)
-    tag = None
-    if L.chart == "sl2" and all(p.kind in SL2_KINDS for p in params):
-        tags = {_SINGLE_ORBIT_TAGS[p.kind] for p in params} - {"Zero"}
-        if len(tags) == 1:
-            tag = tags.pop()
-        elif tags == {"Nplus", "Nminus"}:
-            tag = "N"
-        elif not tags:
-            tag = "Zero"
-    return PointFamily(algebra=L.name, dim=L.dim, branches=branches, exact_tag=tag)
+    return PointFamily(algebra=L.name, dim=L.dim, branches=branches)
 
 
 def _hyp_union_sampler():
@@ -380,23 +353,19 @@ def union_family(L: MatrixLieAlgebra, kind: str) -> PointFamily:
         raise UnsupportedAlgebra("orbit unions are catalogued for the sl2 chart")
     if kind == "hyp_union":
         branches = (FamilyBranch("hyp_union", _hyp_union_sampler()),)
-        tag = "HypClosure"
     elif kind == "ell_union_plus":
         branches = (FamilyBranch("ell_union_plus", _ell_union_sampler(1.0)),)
-        tag = "EllPlusClosure"
     elif kind == "ell_union_minus":
         branches = (FamilyBranch("ell_union_minus", _ell_union_sampler(-1.0)),)
-        tag = "EllMinusClosure"
     elif kind == "full":
         branches = (
             FamilyBranch("hyp_union", _hyp_union_sampler()),
             FamilyBranch("ell_union_plus", _ell_union_sampler(1.0)),
             FamilyBranch("ell_union_minus", _ell_union_sampler(-1.0)),
         )
-        tag = "Full"
     else:
         raise UnsupportedAlgebra(f"unknown union kind {kind!r}")
-    return PointFamily(algebra=L.name, dim=L.dim, branches=branches, exact_tag=tag)
+    return PointFamily(algebra=L.name, dim=L.dim, branches=branches)
 
 
 def orbit_sample(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -86,17 +87,35 @@ def test_validation_errors_exit_2(tmp_path):
         ["ac", "--rep", "sigma_disc:3:+", "--angular-tol", "0"],
         ["golden-table", "--angular-tol=-inf"],
         ["restrict", "--pair", "sl2R|a", "--cone", "Bogus"],
+        ["orbit-sample", "--orbit", "hyp:1", "--radius", "nan"],
+        ["orbit-sample", "--orbit", "hyp:1", "--radius", "-5"],
+        ["orbit-sample", "--orbit", "hyp:1", "--radius", "0"],
+        ["orbit-sample", "--orbit", "hyp:1", "--radius", "inf"],
+        ["measure-scan", "--samples", "1"],
+        # options a subcommand does not take, and values read as option names
+        ["tempered", "--pair", "so(3,1)|blocks[(1,1),(2,0)]", "--radii", "1,2,3"],
+        ["classify", "--algebra", "sl2R", "--point", "1,0,1", "--samples", "5"],
+        ["dual", "--generators", "1,0;0,1", "--angular-tol", "0.1"],
+        ["golden-table", "--angular-tol", "-inf"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
          "scan-samples-zero", "saturation-samples-zero", "angular-tol-nan",
-         "angular-tol-zero", "angular-tol-neg-inf", "unknown-cone"],
+         "angular-tol-zero", "angular-tol-neg-inf", "unknown-cone", "radius-nan",
+         "radius-negative", "radius-zero", "radius-inf", "scan-samples-one",
+         "tempered-radii", "classify-samples", "dual-angular-tol",
+         "angular-tol-neg-inf-spaced"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, args):
-    code, rep, out = run(args, tmp_path)
+    code, _, out = run(args, tmp_path)
     assert code == 2
-    assert rep is None
-    assert not (out / "directions.csv").exists()
+    assert not out.exists()  # no report, no side file, not even the directory
+
+
+def test_help_returns_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["tempered", "--help"]) == 0
+    assert "--pair" in capsys.readouterr().out
 
 
 def test_restrict_names_unknown_cone(tmp_path, capsys):
@@ -208,3 +227,94 @@ def test_golden_table_row_times_only_with_timings(tmp_path):
     assert [r["label"] for r in rows] == timed["inputs"]["rows"]
     assert all(r["seconds"] > 0 for r in rows)
     assert timed["result"] == plain["result"]
+
+
+SAMPLED = {"orbit-sample", "ac", "wavefront", "induce", "restrict", "saturation",
+           "tensor", "golden-table", "measure-scan"}
+COMMON = {"--seed", "--out", "--timings"}
+
+
+def _parsers():
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _options(parser):
+    return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_parser_takes_only_the_options_it_reads():
+    parsers = _parsers()
+    assert len(parsers) == 12
+    for name, p in parsers.items():
+        opts = _options(p)
+        assert COMMON <= opts, name
+        assert ("--samples" in opts) == (name in SAMPLED), name
+        assert ("--radii" in opts) == (name in ("ac", "wavefront")), name
+        assert ("--angular-tol" in opts) == (
+            name in ("ac", "wavefront", "golden-table")
+        ), name
+    shared = COMMON | {"--samples", "--radii", "--angular-tol"}
+    assert sum(len(_options(p) & shared) for p in parsers.values()) == 50
+
+
+# one cheap run of every subcommand, and the options it leaves unset (None)
+RUNS = {
+    "classify": (["--algebra", "sl2R", "--point", "1,0,1"], set()),
+    "orbit-sample": (["--orbit", "ell+:2", "--samples", "50"], set()),
+    "ac": (["--rep", "sigma_disc:3:+", "--samples", "500"], set()),
+    "wavefront": (["--rep", "sigma_disc:3:+", "--samples", "500"], set()),
+    "dual": (["--generators", "1,0;0,1"], set()),
+    "induce": (["--pair", "sl2R|a", "--samples", "2000"], set()),
+    "restrict": (["--pair", "sl2R|a", "--cone", "N", "--samples", "2000"], {"rep"}),
+    "tempered": (["--pair", "so(3,1)|blocks[(1,1),(2,0)]"], set()),
+    "saturation": (["--pair", "sl2R|so(2)", "--samples", "500"], set()),
+    "tensor": (["--rep", "tensor:2:+:3:+", "--samples", "200"], set()),
+    "golden-table": (["--samples", "200"], set()),
+    "measure-scan": (["--samples", "3"], set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_config_echoes_exactly_the_parser_options(tmp_path, name):
+    argv, unset = RUNS[name]
+    dests = {a.dest for a in _parsers()[name]._actions if a.option_strings}
+    _, rep, _ = run([name, *argv], tmp_path)
+    config = rep["config"]
+    # every option but --out; --timings is echoed as on earlier reports
+    assert set(config["arguments"]) == dests - {"help", "out"} - unset
+    assert config["command"] == ("ac" if name == "wavefront" else name)
+    assert config["seed"] == 0
+    assert ("samples" in config["budgets"]) == ("samples" in dests)
+    assert ("radii" in config["budgets"]) == ("radii" in dests)
+    assert ("angular" in config["tolerances"]) == ("angular_tol" in dests)
+
+
+def _keys(obj):
+    if isinstance(obj, dict):
+        return set(obj) | {k for v in obj.values() for k in _keys(v)}
+    if isinstance(obj, list):
+        return {k for v in obj for k in _keys(v)}
+    return set()
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["ac", "--rep", "sigma_disc:3:+", "--samples", "1000"], "cone"),
+        (["induce", "--pair", "sl2R|a", "--samples", "5000"], "cone"),
+        (["restrict", "--pair", "sl2R|a", "--cone", "N"], "lower_bound"),
+    ],
+    ids=["ac", "induce", "restrict"],
+)
+def test_sampled_cone_directions_live_only_in_csv(tmp_path, args, key):
+    code, rep, out = run(args, tmp_path)
+    assert code == 0
+    record = rep["result"][key]
+    assert record["kind"] == "sampled"
+    with open(out / "directions.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert record["n_directions"] == len(rows) > 0
+    assert "directions" not in _keys(rep["result"]) | _keys(rep["certificates"])
+    assert rep["config"]["outputs"]["directions"] == "directions.csv"

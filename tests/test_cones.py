@@ -65,12 +65,6 @@ def test_bounded_family_has_zero_cone(sl2):
     assert cone.kind == "exact" and cone.name == "Zero"
 
 
-def test_exact_tag_short_circuit(sl2):
-    fam = union_family(sl2, "hyp_union")
-    cone = asymptotic_cone(fam, use_exact_tag=True)
-    assert cone.kind == "exact" and cone.name == "HypClosure"
-
-
 def test_radius_schedule_validated(sl2):
     fam = orbit_family(sl2, [OrbitParam("sl2R", "hyp", 1.0)])
     with pytest.raises(InsufficientRadii):

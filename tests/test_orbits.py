@@ -9,7 +9,6 @@ from orbitcone import (
     euclidean_density,
     kks_form,
     orbit_dimension,
-    orbit_family,
     orbit_invariants,
     orbit_sample,
     orbit_sum_sample,
@@ -161,21 +160,6 @@ def test_density_ratio_growth_slope(sl2, kind, value):
     slope = np.polyfit(logs[:, 0], logs[:, 1], 1)[0]
     # 2-dimensional orbit: F grows linearly in the norm
     assert abs(slope - 1.0) <= 0.1
-
-
-def test_orbit_family_exact_tags(sl2):
-    assert orbit_family(sl2, [OrbitParam("sl2R", "hyp", 1.0)]).exact_tag == "N"
-    assert orbit_family(sl2, [OrbitParam("sl2R", "ell+", 2.0)]).exact_tag == "Nplus"
-    assert orbit_family(sl2, [OrbitParam("sl2R", "nil-", None)]).exact_tag == "Nminus"
-    both = orbit_family(
-        sl2,
-        [OrbitParam("sl2R", "ell+", 1.0), OrbitParam("sl2R", "ell-", 1.0)],
-    )
-    assert both.exact_tag == "N"
-    assert union_family(sl2, "hyp_union").exact_tag == "HypClosure"
-    assert union_family(sl2, "full").exact_tag == "Full"
-    assert union_family(sl2, "ell_union_plus").exact_tag == "EllPlusClosure"
-    assert union_family(sl2, "ell_union_minus").exact_tag == "EllMinusClosure"
 
 
 def test_union_samplers_respect_their_regions(sl2):
