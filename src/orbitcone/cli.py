@@ -15,7 +15,8 @@ every file.  Each parser takes only the options its subcommand reads:
 sampled, --radii and --angular-tol only where they are used.
 
 Exit codes: 0 success, 2 validation error (bad options, bad numeric
-values, unknown names; nothing is written), 3 mathematically inconclusive
+values, unknown names, an --out under a regular file, orbit samples that
+overflow; nothing is written), 3 mathematically inconclusive
 (a saturation search that exhausts its budget without a verdict, or a
 tempered check that answers Unknown because the weights are not integral).
 """
@@ -79,6 +80,8 @@ CLAIMS = {
     "golden-table": "the rank-one wave front catalog is reproduced by asymptotic-cone sampling",
     "measure-scan": "the canonical-to-Euclidean density ratio grows with degree half the orbit dimension",
 }
+# orbit samples reach norms of about 2 --radius; their squares must stay finite
+MAX_RADIUS = 1e150
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -209,9 +212,14 @@ def _cmd_classify(args) -> _Run:
 def _cmd_orbit_sample(args) -> _Run:
     L = build_algebra(args.algebra)
     param = _parse_orbit(args.orbit)
-    if not (np.isfinite(args.radius) and args.radius > 0):
-        raise OrbitConeError(f"--radius must be finite and positive, got {args.radius}")
-    pts = orbit_sample(L, param, args.samples, seed=args.seed, radius=args.radius)
+    if not 0 < args.radius <= MAX_RADIUS:
+        raise OrbitConeError(
+            f"--radius must be positive and at most {MAX_RADIUS:g}, got {args.radius}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = orbit_sample(L, param, args.samples, seed=args.seed, radius=args.radius)
+    if not np.all(np.isfinite(pts)):
+        raise OrbitConeError(f"orbit {args.orbit} overflows: its sample points are not finite")
     inv = [sl2_casimir(p) for p in pts[:16]] if L.chart == "sl2" else []
     return _Run(
         {"algebra": L.name, "orbit": args.orbit},
@@ -478,7 +486,11 @@ def main(argv=None) -> int:
     except SystemExit as e:  # --help returns 0, a parser error 2
         return e.code
     t0 = time.perf_counter()
+    out_dir = Path(args.out)
     try:
+        base = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not base.is_dir():
+            raise OrbitConeError(f"--out {args.out}: {base} is not a directory")
         config = _config(args)
         run = args.func(args)
     except OrbitConeError as e:
@@ -488,7 +500,6 @@ def main(argv=None) -> int:
     if args.timings:
         timings = {"recorded": True, "wall_seconds": time.perf_counter() - t0,
                    **run.timings}
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, (name, header, rows) in run.tables.items():
         _write_csv(out_dir / name, header, rows)

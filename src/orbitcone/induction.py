@@ -52,6 +52,7 @@ from .liealg import (
 
 BRACKET_TOL = 1e-12
 MAX_CARTAN_SIZE = 8
+SIGNATURE_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,8 +507,7 @@ def cartan_classes(L: MatrixLieAlgebra) -> list[CartanClass]:
             raise UnsupportedAlgebra(f"Cartan catalog stops at p+q <= {MAX_CARTAN_SIZE}")
         reps = _so_cartan_classes(p, q)
     elif L.name.startswith("abelian("):
-        reps = [CartanClass(L.name, (0, L.dim), np.eye(L.dim), "itself")]
-        return reps
+        return [CartanClass(L.name, (0, L.dim), np.eye(L.dim), "itself")]
     else:
         raise UnsupportedAlgebra(f"no Cartan catalog for {L.name}")
     rank = algebra_rank(L)
@@ -525,16 +525,45 @@ def cartan_classes(L: MatrixLieAlgebra) -> list[CartanClass]:
     return reps
 
 
-def _regular_signature(L: MatrixLieAlgebra, x, rank: int) -> tuple[int, int] | None:
-    """Cartan signature of the centralizer of x; None when x is not regular
-    (centralizer dimension other than rank) or the centralizer is no Cartan."""
-    cent = null_rows(ad_matrix(L, x))
-    if cent.shape[0] != rank:
-        return None
-    try:
-        return cartan_signature(L, cent)
-    except NonCommuting:
-        return None
+def regular_signatures(L: MatrixLieAlgebra, pts: np.ndarray) -> list:
+    """Cartan signature (compact dim, split dim) of the centralizer of each
+    row of pts, None where the row is not regular semisimple, read off the
+    eigenvalues of the stacked defining matrices.  ``abelian(n)``: (0, n).
+    ``sl2R``, ``su(2,1)``: distinct eigenvalues; (rank, 0) when all are
+    imaginary, else (rank-1, 1).  ``so(p,q)``: distinct nonzero eigenvalues,
+    zero of multiplicity 1 (odd p+q) or 0 or 2 (even p+q); compact dim =
+    imaginary pairs + complex quadruples, split dim = real pairs + complex
+    quadruples, and a double zero adds its kernel plane (compact when the
+    form is definite on it)."""
+    if L.name.startswith("abelian("):
+        return [(0, L.dim)] * len(pts)
+    so = re.fullmatch(r"so\((\d+),(\d+)\)", L.name)
+    if not so and L.name not in ("sl2R", "su(2,1)"):
+        raise UnsupportedAlgebra(f"no Cartan signature rule for {L.name}")
+    X = np.tensordot(pts, np.stack(L.basis), axes=1)
+    lam = np.linalg.eigvals(X).astype(complex)
+    n = lam.shape[1]
+    tol = SIGNATURE_TOL * np.linalg.norm(X, axis=(1, 2))[:, None]
+    zero, imag, real = np.abs(lam) <= tol, np.abs(lam.real) <= tol, np.abs(lam.imag) <= tol
+    twin = np.abs(lam[:, :, None] - lam[:, None, :]) <= tol[:, :, None]
+    regular = ~np.any(twin & ~np.eye(n, dtype=bool) & ~zero[:, :, None], axis=(1, 2))
+    n_zero = zero.sum(axis=1)
+    if not so:  # rank n - 1
+        regular &= n_zero <= 1
+        split = 1 - np.all(imag, axis=1)
+        compact = n - 1 - split
+    else:
+        regular &= np.isin(n_zero, (1,) if n % 2 else (0, 2))
+        quads = np.sum(~zero & ~imag & ~real, axis=1) // 4
+        compact = np.sum(~zero & imag, axis=1) // 2 + quads
+        split = np.sum(~zero & real, axis=1) // 2 + quads
+        plane = np.flatnonzero(regular & (n_zero == 2))
+        vt = np.linalg.svd(X[plane])[2]
+        eta = np.repeat([1.0, -1.0], [int(so.group(1)), int(so.group(2))])
+        definite = np.linalg.det(np.einsum("kin,n,kjn->kij", vt[:, -2:], eta, vt[:, -2:])) > 0
+        compact[plane] += definite
+        split[plane] += ~definite
+    return [(int(c), int(a)) if r else None for r, c, a in zip(regular, compact, split)]
 
 
 def cartan_signature_search(
@@ -542,14 +571,11 @@ def cartan_signature_search(
 ) -> dict:
     """Randomized search for Cartan signatures: centralizers of random
     regular elements.  Returns {signature: witness coordinates}."""
-    rng = np.random.default_rng(seed)
-    rank = algebra_rank(L)
+    x = np.random.default_rng(seed).standard_normal((trials, L.dim))
     found: dict[tuple[int, int], np.ndarray] = {}
-    for _ in range(trials):
-        x = rng.standard_normal(L.dim)
-        sig = _regular_signature(L, x, rank)
+    for row, sig in zip(x, regular_signatures(L, x)):
         if sig is not None:
-            found.setdefault(sig, x)
+            found.setdefault(sig, row)
     return found
 
 
@@ -601,24 +627,17 @@ def saturation_is_full(
         )
     if E.ambient.chart == "sl2":
         return _sl2_saturation_exact(E)
-    classes = cartan_classes(E.ambient)
-    targets = {c.signature for c in classes}
-    rank = len(classes[0].generators)  # verified against algebra_rank
+    targets = {c.signature for c in cartan_classes(E.ambient)}
     rng = np.random.default_rng(seed)
     comp = E.complement_q
     found: dict[tuple[int, int], list] = {}
-    draws = 0
-    batch = 256
+    draws, batch = 0, 256
     while draws < budget and len(found) < len(targets):
-        w = rng.standard_normal((batch, comp.shape[0]))
-        pts = w @ comp
+        pts = rng.standard_normal((batch, comp.shape[0])) @ comp
         draws += batch
-        for y in pts:
-            sig = _regular_signature(E.ambient, y, rank)
+        for y, sig in zip(pts, regular_signatures(E.ambient, pts)):
             if sig in targets and sig not in found:
                 found[sig] = [float(v) for v in y]
-                if len(found) == len(targets):
-                    break
     cert = {
         "classes": sorted(str(s) for s in targets),
         "witnesses": {str(k): v for k, v in found.items()},

@@ -456,27 +456,37 @@ def null_rows(a: np.ndarray, rtol: float = 1e-9, floor: float = 1.0) -> np.ndarr
 # classification
 
 
-def _cluster(vals, tol):
-    """Greedy clustering of complex values at absolute tolerance."""
-    reps = []
-    for v in sorted(vals, key=lambda z: (z.real, z.imag)):
-        for r in reps:
-            if abs(v - r[0]) <= tol:
-                r[1].append(v)
-                break
-        else:
-            reps.append([v, [v]])
-    return [(np.mean(r[1]), len(r[1])) for r in reps]
+def _unit_rows(pts: np.ndarray):
+    """Unit rows and their norms, taken after dividing by the largest entry."""
+    big = np.max(np.abs(pts), axis=1, initial=0.0)
+    u = pts / np.where(big > 0, big, 1.0)[:, None]
+    n = np.linalg.norm(u, axis=1)
+    return u / np.where(n > 0, n, 1.0)[:, None], big * n
 
 
-def _is_semisimple(A: np.ndarray, eigs, tol: float) -> bool:
-    """Squarefree minimal polynomial test over clustered eigenvalues."""
-    clusters = _cluster(list(eigs), tol * 10)
-    P = np.eye(A.shape[0], dtype=complex)
-    for lam, _ in clusters:
-        P = P @ (A - lam * np.eye(A.shape[0]))
-    scale = np.prod([max(1.0, np.linalg.norm(A - lam * np.eye(A.shape[0]))) for lam, _ in clusters])
-    return np.linalg.norm(P) <= 1e-7 * scale
+def _ad_tags(L: MatrixLieAlgebra, u: np.ndarray) -> list:
+    """Tags of :func:`classify_element` for the unit rows u, all at once."""
+    d = L.dim
+    A = np.einsum("ijk,ni->nkj", L.structure, u)
+    nil = np.linalg.norm(np.linalg.matrix_power(A, d), axis=(1, 2)) < NILPOTENT_TOL
+    eigs = np.sort(np.linalg.eigvals(A).astype(complex), axis=1)
+    tol = EIG_TOL * np.maximum(1.0, np.max(np.abs(eigs), axis=1, initial=0.0))[:, None]
+    # semisimple: the product of (A - lam), over the eigenvalues lam with no
+    # smaller one within 10 tol, vanishes relative to its factors' sizes
+    close = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= 10 * tol[:, :, None]
+    lead = ~np.any(np.tril(close, -1), axis=2)
+    P, size = np.eye(d, dtype=complex), np.ones(len(A))
+    for k in range(d):
+        F = np.where(lead[:, k, None, None], A - eigs[:, k, None, None] * np.eye(d), np.eye(d))
+        P = P @ F
+        size *= np.where(lead[:, k], np.maximum(1.0, np.linalg.norm(F, axis=(1, 2))), 1.0)
+    semisimple = np.linalg.norm(P, axis=(1, 2)) <= 1e-7 * size
+    nonzero = np.abs(eigs) > tol
+    real = np.all(~nonzero | (np.abs(eigs.imag) <= tol), axis=1)
+    imag = np.all(~nonzero | (np.abs(eigs.real) <= tol), axis=1)
+    return np.select([nil, ~semisimple, ~np.any(nonzero, axis=1), real, imag],
+                     ["Nilpotent", "Mixed", "Nilpotent", "Hyperbolic", "Elliptic"],
+                     "Mixed").tolist()
 
 
 def classify_element(L: MatrixLieAlgebra, xi, zero_tol: float = 1e-12) -> ElementClass:
@@ -489,62 +499,33 @@ def classify_element(L: MatrixLieAlgebra, xi, zero_tol: float = 1e-12) -> Elemen
     under the coadjoint action.
     """
     c = check_coords(L, xi)
-    norm = np.linalg.norm(c)
-    if norm <= zero_tol:
+    u, norm = _unit_rows(c[None])
+    if norm[0] <= zero_tol:
         return ElementClass("Zero", ())
-    A_raw = ad_matrix(L, c)
-    A = A_raw / norm
-    eigs_raw = np.linalg.eigvals(A_raw) if L.dim else np.array([])
-    summary = tuple(
-        (float(v.real), float(v.imag))
-        for v in sorted(eigs_raw, key=lambda z: (z.real, z.imag))
-    )
-    if L.dim == 0:
-        return ElementClass("Zero", ())
-    power = np.linalg.matrix_power(A, L.dim)
-    if np.linalg.norm(power) < NILPOTENT_TOL:
-        return ElementClass("Nilpotent", summary)
-    eigs = np.linalg.eigvals(A)
-    scale = max(1.0, np.max(np.abs(eigs)))
-    if not _is_semisimple(A, eigs, EIG_TOL * scale):
-        return ElementClass("Mixed", summary)
-    nonzero = eigs[np.abs(eigs) > EIG_TOL * scale]
-    if nonzero.size == 0:
-        # semisimple with zero spectrum: ad vanishes, treat as nilpotent
-        return ElementClass("Nilpotent", summary)
-    all_real = np.all(np.abs(nonzero.imag) <= EIG_TOL * scale)
-    all_imag = np.all(np.abs(nonzero.real) <= EIG_TOL * scale)
-    if all_real:
-        return ElementClass("Hyperbolic", summary)
-    if all_imag:
-        return ElementClass("Elliptic", summary)
-    return ElementClass("Mixed", summary)
+    eigs = np.sort(np.linalg.eigvals(ad_matrix(L, c)).astype(complex))
+    return ElementClass(_ad_tags(L, u)[0], tuple((float(v.real), float(v.imag)) for v in eigs))
 
 
 def classify_batch(L: MatrixLieAlgebra, points: np.ndarray, tol: float = 0.02) -> np.ndarray:
-    """Vectorized class tags for many points, with a tolerance band.
+    """Vectorized class tags for many points.
 
     For sl2-chart algebras the class is decided by the sign of the Casimir
     x^2+y^2-z^2 on the normalized point, calling values within ``tol`` of
     zero Nilpotent; this matches :func:`classify_element` away from the
     band and gives sampling statistics a stable meaning near the cone.
-    Other algebras fall back to the exact per-point classifier.
+    Other algebras get the tags of :func:`classify_element` (stacked ad).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if L.chart == "sl2":
-        norms = np.linalg.norm(pts, axis=1)
-        out = np.full(len(pts), "Zero", dtype=object)
-        nz = norms > 1e-12
-        u = pts[nz] / norms[nz, None]
-        cas = u[:, 0] ** 2 + u[:, 1] ** 2 - u[:, 2] ** 2
-        tags = np.where(
-            np.abs(cas) <= tol,
-            "Nilpotent",
-            np.where(cas > 0, "Hyperbolic", "Elliptic"),
-        )
-        out[nz] = tags
-        return out
-    return np.array([classify_element(L, p).tag for p in pts], dtype=object)
+    u, norms = _unit_rows(np.atleast_2d(np.asarray(points, dtype=float)))
+    out = np.full(len(u), "Zero", dtype=object)
+    nz = norms > 1e-12
+    if L.chart != "sl2":  # in chunks, which bounds the stacked temporaries
+        live = u[nz]
+        out[nz] = [t for k in range(0, len(live), 1024) for t in _ad_tags(L, live[k:k + 1024])]
+    else:
+        cas = u[nz, 0] ** 2 + u[nz, 1] ** 2 - u[nz, 2] ** 2
+        out[nz] = np.select([np.abs(cas) <= tol, cas > 0],
+                            ["Nilpotent", "Hyperbolic"], "Elliptic").tolist()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,15 @@ def test_classify_reports_nilpotent(tmp_path):
     assert rep["timings"] == {"recorded": False}
 
 
+def test_classify_huge_point_is_hyperbolic(tmp_path):
+    # the norm of this point overflows unless it is scaled first
+    code, rep, _ = run(
+        ["classify", "--algebra", "sl2R", "--point", "1e300,0,1"], tmp_path
+    )
+    assert code == 0
+    assert rep["result"]["class"] == "Hyperbolic"
+
+
 def test_report_bytes_are_deterministic(tmp_path):
     args = ["wavefront", "--rep", "sigma_limit:+", "--samples", "1500"]
     _, _, out1 = run(args, tmp_path, "a")
@@ -92,6 +101,9 @@ def test_validation_errors_exit_2(tmp_path):
         ["orbit-sample", "--orbit", "hyp:1", "--radius", "0"],
         ["orbit-sample", "--orbit", "hyp:1", "--radius", "inf"],
         ["measure-scan", "--samples", "1"],
+        ["orbit-sample", "--orbit", "hyp:1", "--radius", "1e308"],
+        ["orbit-sample", "--orbit", "hyp:1e300"],
+        ["orbit-sample", "--orbit", "ell+:1e-300"],
         # options a subcommand does not take, and values read as option names
         ["tempered", "--pair", "so(3,1)|blocks[(1,1),(2,0)]", "--radii", "1,2,3"],
         ["classify", "--algebra", "sl2R", "--point", "1,0,1", "--samples", "5"],
@@ -103,6 +115,7 @@ def test_validation_errors_exit_2(tmp_path):
          "scan-samples-zero", "saturation-samples-zero", "angular-tol-nan",
          "angular-tol-zero", "angular-tol-neg-inf", "unknown-cone", "radius-nan",
          "radius-negative", "radius-zero", "radius-inf", "scan-samples-one",
+         "radius-huge", "orbit-value-huge", "orbit-value-tiny",
          "tempered-radii", "classify-samples", "dual-angular-tol",
          "angular-tol-neg-inf-spaced"],
 )
@@ -110,6 +123,38 @@ def test_bad_input_exits_2_without_report(tmp_path, args):
     code, _, out = run(args, tmp_path)
     assert code == 2
     assert not out.exists()  # no report, no side file, not even the directory
+
+
+@pytest.mark.parametrize("sub", ["afile", "afile/below"])
+def test_out_under_a_regular_file_exits_2_before_running(tmp_path, monkeypatch, capsys, sub):
+    (tmp_path / "afile").write_text("keep")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("classified before checking --out")
+
+    monkeypatch.setattr(cli, "classify_element", must_not_run)
+    code = cli.main(["classify", "--algebra", "sl2R", "--point", "1,0,1",
+                     "--out", str(tmp_path / sub)])
+    assert code == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["induce", "--pair", "su(2,1)|so(2,1)", "--samples", "4000", "--seed", "3"],
+        ["saturation", "--pair", "so(6,2)|blocks[(5,0),(1,1),(0,1)]",
+         "--samples", "2000"],
+    ],
+    ids=["induce", "saturation"],
+)
+def test_output_directories_are_byte_identical_across_runs(tmp_path, args):
+    outs = [run(args, tmp_path, sub)[2] for sub in ("a", "b")]
+    names = [sorted(p.name for p in out.iterdir()) for out in outs]
+    assert names[0] == names[1] and "report.json" in names[0]
+    for name in names[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_help_returns_0(capsys):

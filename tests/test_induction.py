@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitcone import (
     annihilator_cone,
@@ -32,8 +34,9 @@ from orbitcone.induction import (
     cartan_signature_search,
     decomposability_obstructed,
     induced_cone_samples,
+    regular_signatures,
 )
-from orbitcone.liealg import random_group_words
+from orbitcone.liealg import ad_matrix, null_rows, random_group_words
 
 PAIR_SPECS = [
     "pair(sl2R, a)",
@@ -261,3 +264,92 @@ def test_decomposability_obstructed_by_class_counts():
     assert not decomposability_obstructed({"Elliptic": 40, "Nilpotent": 2})
     assert decomposability_obstructed({"Elliptic": 40, "Hyperbolic": 1})
     assert decomposability_obstructed({"Mixed": 1})
+
+
+def _centralizer_signature(L, x, rank):
+    """Reference: cartan_signature of the centralizer of x, None when x is
+    not regular or its centralizer is not a Cartan subalgebra."""
+    cent = null_rows(ad_matrix(L, x))
+    if cent.shape[0] != rank:
+        return None
+    try:
+        return cartan_signature(L, cent)
+    except NonCommuting:
+        return None
+
+
+@st.composite
+def _block_pairs(draw):
+    """pair(so(p,q), blocks[...]) with 3 <= p+q <= 8 and a nontrivial block."""
+    n = draw(st.integers(3, 8), label="p+q")
+    q = draw(st.integers(0, n), label="q")
+    p, left_p, left_q, blocks = n - q, n - q, q, []
+    while left_p + left_q:
+        a = draw(st.integers(1 if left_q == 0 else 0, left_p))
+        b = draw(st.integers(1 if a == 0 else 0, left_q))
+        blocks.append((a, b))
+        left_p, left_q = left_p - a, left_q - b
+    assume(any(a + b >= 2 for a, b in blocks))
+    return f"pair(so({p},{q}), blocks[{','.join(f'({a},{b})' for a, b in blocks)}])"
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_block_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_regular_signatures_match_centralizer_signatures(spec, seed):
+    E = pair_embedding(spec)
+    comp = E.complement_q
+    assume(comp.shape[0] > 0)
+    pts = np.random.default_rng(seed).standard_normal((12, comp.shape[0])) @ comp
+    rank = algebra_rank(E.ambient)
+    assert regular_signatures(E.ambient, pts) == [
+        _centralizer_signature(E.ambient, y, rank) for y in pts
+    ]
+
+
+@pytest.mark.parametrize("name", ["sl2R", "su(2,1)", "so(3,2)", "so(4,4)", "abelian(3)"])
+def test_regular_signatures_of_generic_elements(name):
+    L = build_algebra(name)
+    pts = np.random.default_rng(5).standard_normal((64, L.dim))
+    rank = algebra_rank(L)
+    assert regular_signatures(L, pts) == [_centralizer_signature(L, y, rank) for y in pts]
+
+
+def test_regular_signatures_read_the_kernel_plane_of_a_double_zero():
+    # every element of this complement has a double eigenvalue 0; its kernel
+    # plane is a compact or a split direction of the Cartan subalgebra
+    E = pair_embedding("pair(so(6,2), blocks[(5,0),(1,1),(0,1)])")
+    comp = E.complement_q
+    pts = np.random.default_rng(0).standard_normal((256, comp.shape[0])) @ comp
+    lam = np.abs(np.linalg.eigvals(np.tensordot(pts, np.stack(E.ambient.basis), axes=1)))
+    assert np.all(np.sum(lam <= 1e-9 * lam.max(axis=1, keepdims=True), axis=1) == 2)
+    sigs = regular_signatures(E.ambient, pts)
+    assert sigs == [_centralizer_signature(E.ambient, y, 4) for y in pts]
+    assert {(3, 1), (2, 2)} <= set(sigs)
+
+
+def test_nilpotent_elements_are_not_regular_semisimple():
+    # their eigenvalues all vanish, though rounding splits them by ~sqrt(eps)
+    cases = {
+        "sl2R": [[1.0, 0, 1], [3, 4, 5]],
+        "su(2,1)": [[0.0, 0, 0, 1, 0, 0, 1, 1]],  # i [[1,0,1],[0,0,0],[-1,0,-1]]
+        "so(3,1)": [[1.0, 0, 0, 1, 0, 0]],  # b14 + r12
+    }
+    for name, pts in cases.items():
+        L = build_algebra(name)
+        mats = np.tensordot(np.array(pts), np.stack(L.basis), axes=1)
+        assert np.allclose(np.linalg.matrix_power(mats, 4), 0)
+        assert regular_signatures(L, np.array(pts)) == [None] * len(pts), name
+
+
+def test_regular_signatures_need_a_rule():
+    with pytest.raises(UnsupportedAlgebra):
+        regular_signatures(build_algebra("prod(sl2R,sl2R)"), np.zeros((1, 6)))
+
+
+def test_saturation_search_stops_at_the_last_class():
+    # three classes, the last witnessed in the sixth batch of 256 draws
+    E = pair_embedding("pair(so(6,2), blocks[(5,0),(1,1),(0,1)])")
+    res = saturation_is_full(E, budget=2000, seed=0)
+    assert res.verdict == "true"
+    assert res.certificate["draws"] == 1536
+    assert set(res.certificate["witnesses"]) == {"(4, 0)", "(3, 1)", "(2, 2)"}

@@ -259,3 +259,169 @@ def test_null_rows_of_integer_product_has_corank(d, data):
     assert _orthonormal(rows)
     size = max(1.0, np.abs(a).max(initial=0.0))
     assert np.max(np.abs(a @ rows.T), initial=0.0) <= 1e-9 * size
+
+
+# ---------------------------------------------------------------------------
+# classification of constructed points
+
+H2, N2, K2, Z2 = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                  np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2)))
+# so(2,2) acts on 2x2 matrices M by M -> A M - M B, (A, B) in sl2R x sl2R,
+# keeping det M = y1^2 + y2^2 - y3^2 - y4^2 for y = T vec(M)
+T22 = np.array([[0.5, 0, 0, 0.5], [0, 0.5, -0.5, 0], [0.5, 0, 0, -0.5], [0, 0.5, 0.5, 0]])
+
+
+def _so22(A, B):
+    op = np.kron(A, np.eye(2)) - np.kron(np.eye(2), B.T)
+    return matrix_coords(build_algebra("so(2,2)"), T22 @ op @ np.linalg.inv(T22))
+
+
+def _so31(entries):
+    m = np.zeros((4, 4))
+    for (i, j), v in entries.items():
+        m[i, j] = v
+    return matrix_coords(build_algebra("so(3,1)"), m)
+
+
+def _su21(m):
+    return matrix_coords(build_algebra("su(2,1)"), np.asarray(m, dtype=complex))
+
+
+S21 = np.diag([1j, -2j, 1j])  # commutes with the nilpotent X21
+X21 = 1j * np.array([[1, 0, -1], [0, 0, 0], [1, 0, -1]])
+# (point, tag) pairs whose class is known by construction
+KNOWN = {
+    "so(3,1)": [
+        (_so31({(0, 1): 1, (1, 0): -1}), "Elliptic"),
+        (_so31({(0, 3): 1, (3, 0): 1}), "Hyperbolic"),
+        (_so31({(0, 1): 1, (1, 0): -1, (2, 3): 1, (3, 2): 1}), "Mixed"),
+        (_so31({(0, 1): 1, (1, 0): -1, (0, 3): 1, (3, 0): 1}), "Nilpotent"),
+    ],
+    "so(2,2)": [
+        (_so22(H2, N2), "Mixed"),  # semisimple and nilpotent parts both nonzero
+        (_so22(N2, Z2), "Nilpotent"),
+        (_so22(N2, N2), "Nilpotent"),
+        (_so22(H2, Z2), "Hyperbolic"),
+        (_so22(K2, 2 * K2), "Elliptic"),
+        (_so22(H2, K2), "Mixed"),
+        # integer points whose nilpotent part only the semisimplicity test
+        # sees: the split eigenvalues of its Jordan blocks stay real
+        (np.array([-1.0, -1, 0, -1, 1, 0]), "Mixed"),
+    ],
+    "su(2,1)": [
+        (_su21(X21), "Nilpotent"),
+        (_su21(S21 + X21), "Mixed"),  # not semisimple, imaginary spectrum
+        (_su21(S21), "Elliptic"),
+        (_su21([[0, 0, 1], [0, 0, 0], [1, 0, 0]]), "Hyperbolic"),
+        (np.array([0.0, 0, 0, 0, -1, 1, 1, -1]), "Mixed"),
+    ],
+    "prod(sl2R,sl2R)": [
+        (np.array([1.0, 0, 0, 1, 0, 1]), "Mixed"),  # (H, N)
+        (np.array([1.0, 0, 1, 1, 0, 1]), "Nilpotent"),
+        (np.array([0.0, 0, 1, 0, 0, 2]), "Elliptic"),
+        (np.array([1.0, 0, 0, 0, 0, 0]), "Hyperbolic"),
+        (np.array([0.0, -1, 0, 0, -1, -1]), "Mixed"),
+    ],
+    "prod(so(1,1),so(1,1))": [  # ad vanishes on the centre
+        (np.array([1.0, 0.0]), "Nilpotent"),
+        (np.array([0.5, -2.0]), "Nilpotent"),
+    ],
+}
+
+
+# Not semisimple, yet 1.5-4% of their images under these words read as
+# semisimple: a Jordan block's eigenvalues split by about sqrt(eps) times the
+# growth of the word, past the cluster radius 10 * EIG_TOL of the test.
+HIDDEN_BY_WORDS = {("so(2,2)", 0), ("so(2,2)", 6), ("su(2,1)", 1)}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN))
+def test_constructed_points_have_their_class(name):
+    L = build_algebra(name)
+    pts = np.array([p for p, _ in KNOWN[name]])
+    assert list(classify_batch(L, pts)) == [t for _, t in KNOWN[name]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(KNOWN)), data=st.data())
+def test_classify_batch_equals_classify_element(name, data):
+    # batches mix integer points (often nilpotent or not semisimple), zero
+    # rows and scaled constructed points; each row's tag is its own
+    L = build_algebra(name)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 10), label="rows")):
+        if data.draw(st.booleans()):
+            ints = st.lists(st.integers(-2, 2), min_size=L.dim, max_size=L.dim)
+            rows.append(np.array(data.draw(ints), dtype=float))
+        else:
+            point = data.draw(st.sampled_from([p for p, _ in KNOWN[name]]))
+            rows.append(data.draw(st.sampled_from([1e-9, 1e-3, 1.0, 1e3, 1e300])) * point)
+    pts = np.array(rows)
+    assert list(classify_batch(L, pts)) == [classify_element(L, p).tag for p in pts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(KNOWN)), seed=st.integers(0, 2**32 - 1))
+def test_constructed_classes_are_invariant_under_group_words(name, seed):
+    L = build_algebra(name)
+    words = random_group_words(L, 4, np.random.default_rng(seed), word_len=4, scale=0.3)
+    for k, (p, tag) in enumerate(KNOWN[name]):
+        if (name, k) not in HIDDEN_BY_WORDS:
+            assert list(classify_batch(L, words @ p)) == [tag] * len(words)
+
+
+def _reference_tag(L, c):
+    """The per-point classifier the batched one replaced, as a reference:
+    nilpotent when |(ad X/|X|)^dim| < 1e-8, then the squarefree minimal
+    polynomial test over greedily clustered eigenvalues."""
+    norm = np.linalg.norm(c)
+    if norm <= 1e-12:
+        return "Zero"
+    A = ad_matrix(L, c) / norm
+    if np.linalg.norm(np.linalg.matrix_power(A, L.dim)) < 1e-8:
+        return "Nilpotent"
+    eigs = np.linalg.eigvals(A)
+    tol = 1e-9 * max(1.0, np.max(np.abs(eigs)))
+    clusters = []
+    for v in sorted(eigs, key=lambda z: (z.real, z.imag)):
+        for cl in clusters:
+            if abs(v - cl[0]) <= 10 * tol:
+                cl.append(v)
+                break
+        else:
+            clusters.append([v])
+    P, size = np.eye(L.dim, dtype=complex), 1.0
+    for cl in clusters:
+        F = A - np.mean(cl) * np.eye(L.dim)
+        P, size = P @ F, size * max(1.0, np.linalg.norm(F))
+    if np.linalg.norm(P) > 1e-7 * size:
+        return "Mixed"
+    nonzero = eigs[np.abs(eigs) > tol]
+    if nonzero.size == 0:
+        return "Nilpotent"
+    if np.all(np.abs(nonzero.imag) <= tol):
+        return "Hyperbolic"
+    return "Elliptic" if np.all(np.abs(nonzero.real) <= tol) else "Mixed"
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN) + ["so(4,2)", "so(6,2)", "abelian(3)"])
+def test_classify_batch_matches_the_per_point_reference(name):
+    # Gaussian points, and constructed ones scaled and moved by group words
+    L = build_algebra(name)
+    rng = np.random.default_rng(19)
+    pts = [rng.standard_normal((300, L.dim))]
+    words = random_group_words(L, 3, rng)
+    for p, _ in KNOWN.get(name, []):
+        pts.append(np.array([s * p for s in (1e-6, 1.0, 1e6)]))
+        pts.append(words @ p)
+    pts = np.vstack(pts)
+    assert list(classify_batch(L, pts)) == [_reference_tag(L, p) for p in pts]
+
+
+def test_classify_huge_point_does_not_overflow():
+    L = build_algebra("sl2R")
+    assert classify_element(L, [1e300, 0.0, 1.0]).tag == "Hyperbolic"
+    assert list(classify_batch(L, [[1e300, 0.0, 1.0], [1e300, 0.0, 1e300]])) == [
+        "Hyperbolic", "Nilpotent"]
+    rotation = KNOWN["so(3,1)"][0][0]
+    assert classify_element(build_algebra("so(3,1)"), 1e300 * rotation).tag == "Elliptic"
