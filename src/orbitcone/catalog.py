@@ -24,7 +24,7 @@ import numpy as np
 
 from .cones import (
     DEFAULT_RADII,
-    DEFAULT_RESOLUTION,
+    RESOLUTION,
     ConeDescription,
     FamilyBranch,
     PointFamily,
@@ -139,17 +139,10 @@ def wavefront_of(
     radii=DEFAULT_RADII,
     samples_per_radius: int = 6000,
     seed: int = 0,
-    resolution: float = DEFAULT_RESOLUTION,
 ) -> ConeDescription:
     """Wave front set of a catalog representation: the asymptotic cone of
     its orbital support."""
-    return asymptotic_cone(
-        spec.orbital_support,
-        radii=radii,
-        samples_per_radius=samples_per_radius,
-        seed=seed,
-        resolution=resolution,
-    )
+    return asymptotic_cone(spec.orbital_support, radii, samples_per_radius, seed)
 
 
 GOLDEN_ROWS = (
@@ -201,9 +194,7 @@ def su21_so21_pair() -> SubalgebraEmbedding:
     return pair_embedding("pair(su(2,1), so(2,1))")
 
 
-def quaternionic_wf(
-    budget: int = 40_000, seed: int = 0, resolution: float = DEFAULT_RESOLUTION
-) -> ConeDescription:
+def quaternionic_wf(budget: int = 40_000, seed: int = 0) -> ConeDescription:
     """The nilpotent cone of su(2,1), sampled.
 
     Rank-one nilpotents are parametrized directly (i v v* J over isotropic
@@ -238,7 +229,7 @@ def quaternionic_wf(
     norms = np.linalg.norm(pool, axis=1)
     pool = pool[norms > 1e-9]
     dirs = pool / np.linalg.norm(pool, axis=1, keepdims=True)
-    return sampled_cone(dedup_directions(dirs, resolution), g.name, tol=resolution)
+    return sampled_cone(dedup_directions(dirs, RESOLUTION), g.name)
 
 
 def su21_branching_report(budget: int = 40_000, seed: int = 0) -> dict:

@@ -5,8 +5,9 @@ result, certificates, timings}.  Reports are byte-deterministic for a
 fixed configuration: timings are only recorded when --timings is passed,
 since wall-clock values would break determinism.  Point clouds and
 direction sets go only to CSV side files, with one coordinate column per
-basis element; a sampled cone's record in report.json keeps its
-resolution ``tol`` and its count ``n_directions``.
+basis element; a sampled cone's record in report.json keeps the one
+angular resolution ``tol`` of every sampled cone (``cones.RESOLUTION``)
+and its count ``n_directions``.
 
 Each subcommand computes and returns its report sections and side tables;
 ``main`` builds the config section from the parsed options and writes
@@ -15,8 +16,9 @@ every file.  Each parser takes only the options its subcommand reads:
 sampled, --radii and --angular-tol only where they are used.
 
 Exit codes: 0 success, 2 validation error (bad options, bad numeric
-values, unknown names, an --out under a regular file, orbit samples that
-overflow; nothing is written), 3 mathematically inconclusive
+values, radii outside (0, MAX_RADIUS], unknown names, an --out under a
+regular file, orbit samples that overflow in orbit-sample or
+measure-scan; nothing is written), 3 mathematically inconclusive
 (a saturation search that exhausts its budget without a verdict, or a
 tempered check that answers Unknown because the weights are not integral).
 """
@@ -45,7 +47,6 @@ from .catalog import (
 )
 from .cones import (
     DEFAULT_RADII,
-    DEFAULT_RESOLUTION,
     EXACT_NAMES,
     cone_directions,
     cone_equal,
@@ -56,10 +57,10 @@ from .cones import (
 )
 from .errors import OrbitConeError
 from .induction import (
+    class_counts,
     decomposability_obstructed,
     induced_cone,
     pair_embedding,
-    restriction_class_counts,
     restriction_lower_bound,
     saturation_is_full,
 )
@@ -94,8 +95,14 @@ def _parse_vector(text: str) -> np.ndarray:
     return v
 
 
+def _check_radius(radius: float) -> float:
+    if not 0 < radius <= MAX_RADIUS:
+        raise OrbitConeError(f"radius {radius:g} is outside (0, {MAX_RADIUS:g}]")
+    return radius
+
+
 def _parse_radii(text: str):
-    vals = tuple(_parse_vector(text))
+    vals = tuple(_check_radius(r) for r in _parse_vector(text))
     if len(vals) < 3:
         raise OrbitConeError("--radii needs at least 3 comma-separated values")
     return vals
@@ -209,17 +216,20 @@ def _cmd_classify(args) -> _Run:
     )
 
 
+def _orbit_points(L, param: OrbitParam, count: int, seed: int, radius: float):
+    """``orbit_sample`` at a radius in (0, MAX_RADIUS], with finite points."""
+    _check_radius(radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = orbit_sample(L, param, count, seed=seed, radius=radius)
+    if not np.all(np.isfinite(pts)):
+        raise OrbitConeError(f"orbit samples at radius {radius:g} overflow: they are not finite")
+    return pts
+
+
 def _cmd_orbit_sample(args) -> _Run:
     L = build_algebra(args.algebra)
     param = _parse_orbit(args.orbit)
-    if not 0 < args.radius <= MAX_RADIUS:
-        raise OrbitConeError(
-            f"--radius must be positive and at most {MAX_RADIUS:g}, got {args.radius}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = orbit_sample(L, param, args.samples, seed=args.seed, radius=args.radius)
-    if not np.all(np.isfinite(pts)):
-        raise OrbitConeError(f"orbit {args.orbit} overflows: its sample points are not finite")
+    pts = _orbit_points(L, param, args.samples, args.seed, args.radius)
     inv = [sl2_casimir(p) for p in pts[:16]] if L.chart == "sl2" else []
     return _Run(
         {"algebra": L.name, "orbit": args.orbit},
@@ -234,7 +244,7 @@ def _cmd_ac(args) -> _Run:
         spec, radii=_parse_radii(args.radii), samples_per_radius=args.samples,
         seed=args.seed,
     )
-    dirs = cone_directions(cone, DEFAULT_RESOLUTION, args.seed)
+    dirs = cone_directions(cone, args.seed)
     expected = dict(GOLDEN_ROWS).get(spec.label)
     certificates = {}
     if expected is not None:
@@ -269,7 +279,7 @@ def _cmd_induce(args) -> _Run:
     E = pair_embedding(_parse_pair_spec(args.pair))
     S = exact_cone(args.sub_cone, E.sub.name, E.sub.dim)
     cone = induced_cone(E, S, budget=args.samples, seed=args.seed)
-    dirs = cone_directions(cone, DEFAULT_RESOLUTION, args.seed)
+    dirs = cone_directions(cone, args.seed)
     counts: dict[str, int] = {}
     tables = {}
     if len(dirs):
@@ -308,8 +318,8 @@ def _cmd_restrict(args) -> _Run:
     else:
         raise OrbitConeError("restrict needs --cone or --rep")
     bound = restriction_lower_bound(E, C, seed=args.seed)
-    counts = restriction_class_counts(E, C, seed=args.seed)
-    dirs = cone_directions(bound, DEFAULT_RESOLUTION, args.seed)
+    dirs = cone_directions(bound, args.seed)
+    counts = class_counts(E.sub, dirs)
     tables = {}
     if len(dirs):
         tables["directions"] = ("directions.csv", E.sub.basis_names, dirs)
@@ -391,7 +401,7 @@ def _cmd_measure_scan(args) -> _Run:
     norms = np.geomspace(max(1.0, lo), 100.0 * max(1.0, base), args.samples)
     rows = []
     for t in norms:
-        pts = orbit_sample(L, param, 8, seed=args.seed, radius=t)
+        pts = _orbit_points(L, param, 8, args.seed, t)
         # keep the sample closest to the requested norm, then rescan F
         k = np.argmin(np.abs(np.linalg.norm(pts, axis=1) - t))
         f = density_ratio_F(L, pts[k])

@@ -3,12 +3,13 @@
 A cone is one of three kinds.  ``exact`` cones are the named quadric cones
 of the rank-one catalog (plus the generic Zero and Full cones), evaluated by
 closed-form angular distance.  ``polyhedral`` cones carry generator rays.
-``sampled`` cones are finite sets of unit directions with an angular
-resolution; they are what asymptotic-cone sampling produces.
+``sampled`` cones are finite sets of unit directions at the one angular
+resolution ``RESOLUTION``; ``direction_cone`` makes one from any point
+cloud (asymptotic cones, induced cones, restriction bounds).
 
 The asymptotic cone of a set S collects limits of directions of unbounded
 sequences in S.  Numerically: sample the family at several radii, keep the
-points at least as far out as the largest radius, normalize, deduplicate.
+points at least as far out as the largest radius, take their direction cone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ EXACT_NAMES = (
 )
 
 DEFAULT_RADII = (10.0, 30.0, 100.0, 300.0)
-DEFAULT_RESOLUTION = 0.02
+RESOLUTION = 0.02
 MAX_DUAL_DIM = 8
 
 # human-readable defining conditions for the named sl2-chart cones
@@ -63,7 +64,6 @@ class ConeDescription:
     name: str | None = None
     generators: np.ndarray | None = None
     directions: np.ndarray | None = None
-    tol: float = DEFAULT_RESOLUTION
 
     def __repr__(self):  # pragma: no cover
         if self.kind == "exact":
@@ -106,13 +106,11 @@ def polyhedral_cone(generators, algebra: str = "R^d") -> ConeDescription:
     )
 
 
-def sampled_cone(directions, algebra: str, tol: float = DEFAULT_RESOLUTION) -> ConeDescription:
+def sampled_cone(directions, algebra: str) -> ConeDescription:
     d = np.asarray(directions, dtype=float)
     if d.size == 0:
         d = d.reshape(0, d.shape[1] if d.ndim == 2 else 0)
-    return ConeDescription(
-        kind="sampled", algebra=algebra, dim=d.shape[1], directions=d, tol=tol
-    )
+    return ConeDescription(kind="sampled", algebra=algebra, dim=d.shape[1], directions=d)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +144,20 @@ def dedup_directions(dirs: np.ndarray, resolution: float) -> np.ndarray:
     return dirs[np.sort(idx)]
 
 
+def direction_cone(points, algebra: str, dim: int) -> ConeDescription:
+    """The sampled cone of the directions of a point cloud.
+
+    Rows of norm at most 1e-9 carry no direction and are dropped; the rest
+    are normalized and thinned at ``RESOLUTION``.  The Zero cone when no
+    row is left."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.linalg.norm(pts, axis=1) > 1e-9]
+    if len(pts) == 0:
+        return exact_cone("Zero", algebra, dim)
+    dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
+
+
 def _exact_angular_distance(name: str, u: np.ndarray) -> float:
     """Angular distance from a unit vector to a named cone (sl2 chart)."""
     if name == "Full":
@@ -174,22 +186,20 @@ def _exact_angular_distance(name: str, u: np.ndarray) -> float:
     raise UnsupportedAlgebra(f"unknown exact cone name {name!r}")
 
 
-def _band_grid(phi_lo: float, phi_hi: float, resolution: float) -> np.ndarray:
+def _band_grid(phi_lo: float, phi_hi: float) -> np.ndarray:
     """Deterministic near-uniform grid on a latitude band of the 2-sphere."""
-    rows = max(2, int(np.ceil((phi_hi - phi_lo) / resolution)) + 1)
+    rows = max(2, int(np.ceil((phi_hi - phi_lo) / RESOLUTION)) + 1)
     out = []
     for phi in np.linspace(phi_lo, phi_hi, rows):
         s = np.sin(phi)
-        ntheta = max(1, int(np.ceil(2 * np.pi * max(s, 1e-9) / resolution)))
+        ntheta = max(1, int(np.ceil(2 * np.pi * max(s, 1e-9) / RESOLUTION)))
         th = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
         out.append(np.column_stack([s * np.cos(th), s * np.sin(th), np.full(ntheta, np.cos(phi))]))
     return np.vstack(out)
 
 
-def cone_directions(
-    C: ConeDescription, resolution: float = DEFAULT_RESOLUTION, seed: int = 0
-) -> np.ndarray:
-    """Unit direction samples representing a cone at a given resolution."""
+def cone_directions(C: ConeDescription, seed: int = 0) -> np.ndarray:
+    """Unit direction samples representing a cone at ``RESOLUTION``."""
     if C.kind == "sampled":
         return C.directions
     if C.kind == "exact":
@@ -198,14 +208,14 @@ def cone_directions(
             return np.zeros((0, C.dim))
         if name == "Full":
             if C.dim == 3:
-                return _band_grid(0.0, np.pi, resolution)
+                return _band_grid(0.0, np.pi)
             rng = np.random.default_rng(seed)
-            n = min(40000, max(1000, int(16.0 / resolution**2)))
+            n = min(40000, max(1000, int(16.0 / RESOLUTION**2)))
             v = rng.standard_normal((n, C.dim))
             return v / np.linalg.norm(v, axis=1, keepdims=True)
         quarter = np.pi / 4
         if name in ("Nplus", "Nminus", "N"):
-            ntheta = max(8, int(np.ceil(2 * np.pi / (resolution * np.sqrt(2.0)))))
+            ntheta = max(8, int(np.ceil(2 * np.pi / (RESOLUTION * np.sqrt(2.0)))))
             th = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
             circ = np.column_stack(
                 [np.cos(th), np.sin(th), np.ones(ntheta)]
@@ -215,11 +225,11 @@ def cone_directions(
             minus = circ * np.array([1.0, 1.0, -1.0])
             return minus if name == "Nminus" else np.vstack([circ, minus])
         if name == "HypClosure":
-            return _band_grid(quarter, 3 * quarter, resolution)
+            return _band_grid(quarter, 3 * quarter)
         if name == "EllPlusClosure":
-            return _band_grid(0.0, quarter, resolution)
+            return _band_grid(0.0, quarter)
         if name == "EllMinusClosure":
-            return _band_grid(3 * quarter, np.pi, resolution)
+            return _band_grid(3 * quarter, np.pi)
         raise UnsupportedAlgebra(f"unknown exact cone name {name!r}")
     # polyhedral: generators, their span under nonnegative combinations
     g = C.generators
@@ -233,7 +243,7 @@ def cone_directions(
     mix = w @ base
     mn = np.linalg.norm(mix, axis=1)
     mix = mix[mn > 1e-12] / mn[mn > 1e-12, None]
-    return dedup_directions(np.vstack([base, mix]), resolution / 2)
+    return dedup_directions(np.vstack([base, mix]), RESOLUTION / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +262,7 @@ def cone_contains(C: ConeDescription, xi, tol: float | None = None) -> bool:
     if n <= 1e-12:
         return True
     u = v / n
-    t = C.tol if tol is None else tol
+    t = RESOLUTION if tol is None else tol
     if C.kind == "exact":
         return _exact_angular_distance(C.name, u) <= t
     if C.kind == "polyhedral":
@@ -270,16 +280,14 @@ def cone_equal(
     C1: ConeDescription,
     C2: ConeDescription,
     angular_tol: float = 0.05,
-    resolution: float = DEFAULT_RESOLUTION,
-    seed: int = 0,
 ) -> tuple[bool, float]:
     """Symmetric Hausdorff comparison of direction samples.
 
     Returns (equal, defect) where defect is the symmetric Hausdorff angular
     distance between the two direction sets.
     """
-    d1 = cone_directions(C1, resolution, seed)
-    d2 = cone_directions(C2, resolution, seed)
+    d1 = cone_directions(C1)
+    d2 = cone_directions(C2)
     if len(d1) == 0 and len(d2) == 0:
         return True, 0.0
     if len(d1) == 0 or len(d2) == 0:
@@ -290,7 +298,7 @@ def cone_equal(
     return defect <= angular_tol, defect
 
 
-def cone_union(cones, resolution: float = DEFAULT_RESOLUTION, seed: int = 0) -> ConeDescription:
+def cone_union(cones) -> ConeDescription:
     """Union of cones over a common algebra.
 
     Exact unions are kept exact when the catalog has a name for them
@@ -309,8 +317,8 @@ def cone_union(cones, resolution: float = DEFAULT_RESOLUTION, seed: int = 0) -> 
             return exact_cone("N", algebra, dim)
         if len(names) == 1:
             return exact_cone(names.pop(), algebra, dim)
-    dirs = np.vstack([cone_directions(c, resolution, seed) for c in cones])
-    return sampled_cone(dedup_directions(dirs, resolution), algebra, tol=resolution)
+    dirs = np.vstack([cone_directions(c) for c in cones])
+    return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +330,12 @@ def asymptotic_cone(
     radii=DEFAULT_RADII,
     samples_per_radius: int = 6000,
     seed: int = 0,
-    resolution: float = DEFAULT_RESOLUTION,
 ) -> ConeDescription:
     """Asymptotic cone of a point family.
 
     Samples every branch at each radius of the schedule, keeps the points
-    with norm at least the largest radius, and returns their normalized
-    directions (deduplicated at the angular resolution) as a sampled cone.
+    with norm at least the largest radius, and returns their direction
+    cone.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -336,23 +343,10 @@ def asymptotic_cone(
     if not family.branches:
         raise EmptyFamily("family has no branches")
     rng = np.random.default_rng(seed)
-    pools = []
-    r_max = radii[-1]
-    for branch in family.branches:
-        for r in radii:
-            pts = np.asarray(branch.sample(rng, r, samples_per_radius), dtype=float)
-            if pts.size:
-                pools.append(pts)
-    if not pools:
-        return exact_cone("Zero", family.algebra, family.dim)
-    pts = np.vstack(pools)
-    norms = np.linalg.norm(pts, axis=1)
-    far = pts[norms >= r_max]
-    if len(far) == 0:
-        return exact_cone("Zero", family.algebra, family.dim)
-    dirs = far / np.linalg.norm(far, axis=1, keepdims=True)
-    dirs = dedup_directions(dirs, resolution)
-    return sampled_cone(dirs, family.algebra, tol=resolution)
+    pts = np.vstack([branch.sample(rng, r, samples_per_radius)
+                     for branch in family.branches for r in radii])
+    far = pts[np.linalg.norm(pts, axis=1) >= radii[-1]]
+    return direction_cone(far, family.algebra, family.dim)
 
 
 def ac_union_check(
@@ -468,7 +462,7 @@ def conic_neighborhood_contains(xi, delta: float, eta) -> bool:
 def cone_record(C: ConeDescription) -> dict:
     """JSON-ready structured record of a cone.
 
-    A sampled cone records its resolution and its number of directions,
+    A sampled cone records the resolution and its number of directions,
     not the directions themselves."""
     rec = {"kind": C.kind, "algebra": C.algebra, "dim": C.dim}
     if C.kind == "exact":
@@ -477,6 +471,6 @@ def cone_record(C: ConeDescription) -> dict:
     elif C.kind == "polyhedral":
         rec["generators"] = [[round(float(v), 12) for v in row] for row in C.generators]
     else:
-        rec["tol"] = C.tol
+        rec["tol"] = RESOLUTION
         rec["n_directions"] = len(C.directions)
     return rec

@@ -17,18 +17,17 @@ Cartan subalgebras of g.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import (
-    DEFAULT_RESOLUTION,
     ConeDescription,
     cone_directions,
-    dedup_directions,
+    direction_cone,
     exact_cone,
     polyhedral_cone,
-    sampled_cone,
 )
 from .errors import (
     BadPartition,
@@ -45,6 +44,7 @@ from .liealg import (
     build_algebra,
     check_coords,
     classify_batch,
+    element_matrix,
     matrix_coords,
     null_rows,
     random_group_words,
@@ -244,7 +244,6 @@ def induced_cone_samples(
     S: ConeDescription,
     budget: int = 100_000,
     seed: int = 0,
-    resolution: float = DEFAULT_RESOLUTION,
 ) -> np.ndarray:
     """Points xi with q(xi) in S, pushed by random group words.
 
@@ -257,8 +256,7 @@ def induced_cone_samples(
         raise BudgetTooSmall("induced-cone sampling needs a budget >= 1000")
     rng = np.random.default_rng(seed)
     g = E.ambient
-    lifted = cone_directions(S, resolution=resolution, seed=seed)
-    lifted = np.asarray(lifted, dtype=float)
+    lifted = np.asarray(cone_directions(S, seed=seed), dtype=float)
     comp = E.complement_q
     n_ann = budget // 4 if len(lifted) else budget
     n_lift = budget - n_ann
@@ -293,59 +291,34 @@ def induced_cone(
     S: ConeDescription,
     budget: int = 100_000,
     seed: int = 0,
-    resolution: float = DEFAULT_RESOLUTION,
 ) -> ConeDescription:
     """Sampled closure of Ad*(G) applied to q^{-1}(S)."""
-    pts = induced_cone_samples(E, S, budget=budget, seed=seed, resolution=resolution)
-    if len(pts) == 0:
-        return exact_cone("Zero", E.ambient.name, E.ambient.dim)
-    norms = np.linalg.norm(pts, axis=1)
-    keep = pts[norms > 1e-9]
-    if len(keep) == 0:
-        return exact_cone("Zero", E.ambient.name, E.ambient.dim)
-    dirs = keep / np.linalg.norm(keep, axis=1, keepdims=True)
-    dirs = dedup_directions(dirs, resolution)
-    return sampled_cone(dirs, E.ambient.name, tol=resolution)
+    pts = induced_cone_samples(E, S, budget=budget, seed=seed)
+    return direction_cone(pts, E.ambient.name, E.ambient.dim)
 
 
 def restriction_lower_bound(
-    E: SubalgebraEmbedding,
-    C: ConeDescription,
-    resolution: float = DEFAULT_RESOLUTION,
-    seed: int = 0,
+    E: SubalgebraEmbedding, C: ConeDescription, seed: int = 0
 ) -> ConeDescription:
     """Closure of q(C): a cone over the sub algebra contained in the wave
     front set of any restriction whose ambient wave front set is C."""
     if E.sub.dim == E.ambient.dim:
         return C  # q is a linear isomorphism in the catalog only for h = g
-    dirs = np.asarray(cone_directions(C, resolution=resolution, seed=seed))
-    if len(dirs) == 0:
-        return exact_cone("Zero", E.sub.name, E.sub.dim)
-    imgs = dirs @ E.q.T
-    norms = np.linalg.norm(imgs, axis=1)
-    imgs = imgs[norms > 1e-9]
-    if len(imgs) == 0:
-        return exact_cone("Zero", E.sub.name, E.sub.dim)
-    imgs = imgs / np.linalg.norm(imgs, axis=1, keepdims=True)
-    return sampled_cone(dedup_directions(imgs, resolution), E.sub.name, tol=resolution)
+    return direction_cone(cone_directions(C, seed=seed) @ E.q.T, E.sub.name, E.sub.dim)
+
+
+def class_counts(L: MatrixLieAlgebra, dirs: np.ndarray) -> dict:
+    """How many of the directions fall in each class of L; {"Zero": 1}
+    for no directions."""
+    return dict(Counter(classify_batch(L, dirs))) if len(dirs) else {"Zero": 1}
 
 
 def restriction_class_counts(
-    E: SubalgebraEmbedding,
-    C: ConeDescription,
-    resolution: float = DEFAULT_RESOLUTION,
-    seed: int = 0,
+    E: SubalgebraEmbedding, C: ConeDescription, seed: int = 0
 ) -> dict:
     """How the directions of q(C) classify inside the sub algebra."""
-    bound = restriction_lower_bound(E, C, resolution=resolution, seed=seed)
-    dirs = np.asarray(cone_directions(bound, resolution=resolution, seed=seed))
-    if len(dirs) == 0:
-        return {"Zero": 1}
-    tags = classify_batch(E.sub, dirs)
-    out: dict[str, int] = {}
-    for t in tags:
-        out[t] = out.get(t, 0) + 1
-    return out
+    bound = restriction_lower_bound(E, C, seed=seed)
+    return class_counts(E.sub, cone_directions(bound, seed=seed))
 
 
 def decomposability_obstructed(counts: dict) -> bool:
@@ -387,7 +360,9 @@ def cartan_signature(L: MatrixLieAlgebra, gens, seed: int = 0) -> tuple[int, int
 
     Root functionals are read off the eigenvectors of a generic element:
     a direction is compact when every root takes an imaginary value on
-    it, split when every root takes a real value.
+    it, split when every root takes a real value.  A span without roots
+    is central; the weights of its defining matrices decide it the same
+    way (the rotation of ``so(2,0)`` is compact, ``abelian(n)`` is split).
     """
     g = np.atleast_2d(np.asarray(gens, dtype=float))
     k = len(g)
@@ -406,15 +381,18 @@ def cartan_signature(L: MatrixLieAlgebra, gens, seed: int = 0) -> tuple[int, int
         vals, vecs = np.linalg.eig(a)
         big = np.abs(vals) > 1e-7 * max(1.0, np.max(np.abs(vals)))
         idx = np.where(big)[0]
-        if len(idx) == 0:
-            return (0, k)  # no roots at all: abelian, split by convention
-        if len(idx) != L.dim - null_rows(a).shape[0]:
+        mats = ads
+        if len(idx) == 0:  # no roots: use the weights of the defining matrices
+            mats = np.stack([element_matrix(L, row) for row in g])
+            vecs = np.linalg.eig(np.tensordot(combo, mats, axes=1))[1]
+            idx = np.arange(vecs.shape[1])
+        elif len(idx) != L.dim - null_rows(a).shape[0]:
             continue  # not a regular combination, retry
         roots = np.empty((len(idx), k), dtype=complex)
         for r, j in enumerate(idx):
             v = vecs[:, j]
             denom = np.vdot(v, v).real
-            roots[r] = [np.vdot(v, ads[i] @ v) / denom for i in range(k)]
+            roots[r] = [np.vdot(v, mats[i] @ v) / denom for i in range(k)]
         t_dim = null_rows(roots.real, rtol=1e-7).shape[0]
         a_dim = null_rows(roots.imag, rtol=1e-7).shape[0]
         if t_dim + a_dim != k:

@@ -489,7 +489,7 @@ def _ad_tags(L: MatrixLieAlgebra, u: np.ndarray) -> list:
                      "Mixed").tolist()
 
 
-def classify_element(L: MatrixLieAlgebra, xi, zero_tol: float = 1e-12) -> ElementClass:
+def classify_element(L: MatrixLieAlgebra, xi) -> ElementClass:
     """Classify a dual point by the ad-eigenstructure of its transport.
 
     Returns Zero, Elliptic (semisimple, purely imaginary nonzero spectrum),
@@ -500,17 +500,17 @@ def classify_element(L: MatrixLieAlgebra, xi, zero_tol: float = 1e-12) -> Elemen
     """
     c = check_coords(L, xi)
     u, norm = _unit_rows(c[None])
-    if norm[0] <= zero_tol:
+    if norm[0] <= 1e-12:
         return ElementClass("Zero", ())
     eigs = np.sort(np.linalg.eigvals(ad_matrix(L, c)).astype(complex))
     return ElementClass(_ad_tags(L, u)[0], tuple((float(v.real), float(v.imag)) for v in eigs))
 
 
-def classify_batch(L: MatrixLieAlgebra, points: np.ndarray, tol: float = 0.02) -> np.ndarray:
+def classify_batch(L: MatrixLieAlgebra, points: np.ndarray) -> np.ndarray:
     """Vectorized class tags for many points.
 
     For sl2-chart algebras the class is decided by the sign of the Casimir
-    x^2+y^2-z^2 on the normalized point, calling values within ``tol`` of
+    x^2+y^2-z^2 on the normalized point, calling values within 0.02 of
     zero Nilpotent; this matches :func:`classify_element` away from the
     band and gives sampling statistics a stable meaning near the cone.
     Other algebras get the tags of :func:`classify_element` (stacked ad).
@@ -523,7 +523,7 @@ def classify_batch(L: MatrixLieAlgebra, points: np.ndarray, tol: float = 0.02) -
         out[nz] = [t for k in range(0, len(live), 1024) for t in _ad_tags(L, live[k:k + 1024])]
     else:
         cas = u[nz, 0] ** 2 + u[nz, 1] ** 2 - u[nz, 2] ** 2
-        out[nz] = np.select([np.abs(cas) <= tol, cas > 0],
+        out[nz] = np.select([np.abs(cas) <= 0.02, cas > 0],
                             ["Nilpotent", "Hyperbolic"], "Elliptic").tolist()
     return out
 

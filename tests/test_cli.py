@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from orbitcone import build_algebra, cli, make_embedding
+from orbitcone import (
+    build_algebra,
+    cli,
+    make_embedding,
+    pair_embedding,
+    quaternionic_wf,
+    restriction_class_counts,
+)
 from orbitcone.induction import SaturationResult
 
 
@@ -109,6 +116,13 @@ def test_validation_errors_exit_2(tmp_path):
         ["classify", "--algebra", "sl2R", "--point", "1,0,1", "--samples", "5"],
         ["dual", "--generators", "1,0;0,1", "--angular-tol", "0.1"],
         ["golden-table", "--angular-tol", "-inf"],
+        # radii outside (0, MAX_RADIUS], and scans whose orbit samples overflow
+        ["wavefront", "--rep", "sigma_hyp:0:+", "--radii=-3,-2,-1"],
+        ["wavefront", "--rep", "sigma_hyp:1:+-", "--radii=1e100,1e200,1e300"],
+        ["wavefront", "--rep", "L2_GK", "--radii=1e100,1e200,1e300"],
+        ["wavefront", "--rep", "L2_GK", "--radii=0,10,100"],
+        ["measure-scan", "--orbit", "hyp:1e300", "--samples", "4"],
+        ["measure-scan", "--orbit", "ell+:1e160"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -117,7 +131,8 @@ def test_validation_errors_exit_2(tmp_path):
          "radius-negative", "radius-zero", "radius-inf", "scan-samples-one",
          "radius-huge", "orbit-value-huge", "orbit-value-tiny",
          "tempered-radii", "classify-samples", "dual-angular-tol",
-         "angular-tol-neg-inf-spaced"],
+         "angular-tol-neg-inf-spaced", "radii-negative", "radii-huge",
+         "radii-huge-union", "radii-zero", "scan-hyp-huge", "scan-ell-huge"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, args):
     code, _, out = run(args, tmp_path)
@@ -237,6 +252,26 @@ def test_measure_scan_csv(tmp_path):
     assert rows[0] == ["norm", "F"]
     assert len(rows) == 13
     assert 0.5 <= rep["result"]["slope"] <= 1.6
+
+
+def test_measure_scan_may_end_at_the_largest_radius(tmp_path):
+    # the scan of hyp:1e148 ends at 100 * 1e148, which is MAX_RADIUS itself
+    code, rep, _ = run(
+        ["measure-scan", "--orbit", "hyp:1e148", "--samples", "4"], tmp_path
+    )
+    assert code == 0
+    assert rep["result"]["slope"] == pytest.approx(1.0, abs=0.05)
+
+
+def test_restrict_counts_match_restriction_class_counts(tmp_path):
+    code, rep, _ = run(
+        ["restrict", "--pair", "su(2,1)|so(2,1)", "--cone", "quaternionic",
+         "--samples", "8000", "--seed", "3"], tmp_path
+    )
+    assert code == 0
+    E = pair_embedding("pair(su(2,1), so(2,1))")
+    C = quaternionic_wf(budget=8000, seed=3)
+    assert rep["result"]["class_counts"] == restriction_class_counts(E, C, seed=3)
 
 
 def test_dual_subcommand(tmp_path):

@@ -20,7 +20,13 @@ from orbitcone import (
     sampled_cone,
     union_family,
 )
-from orbitcone.cones import FamilyBranch, PointFamily, _min_angles_to
+from orbitcone.cones import (
+    RESOLUTION,
+    FamilyBranch,
+    PointFamily,
+    _min_angles_to,
+    direction_cone,
+)
 from orbitcone.errors import InsufficientRadii, UnsupportedAlgebra
 
 
@@ -264,3 +270,34 @@ def test_min_angles_to_self_is_zero(dim):
     # arccos of a dot product one ulp below 1 would give sqrt(eps) here
     dirs = _unit_rows(np.random.default_rng(10 + dim), 500, dim)
     assert np.max(_min_angles_to(dirs, dirs)) <= 1e-12
+
+
+@st.composite
+def _point_clouds(draw):
+    """Rows of any size, rows on a grid of step 0.04 (whose directions often
+    share a dedup cell) and rows of norm below 1e-9, in 1 to 5 dims."""
+    dim = draw(st.integers(1, 5))
+    big = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+    grid = st.lists(st.integers(-50, 50).map(lambda k: k / 25), min_size=dim, max_size=dim)
+    tiny = st.lists(st.floats(-4e-10, 4e-10), min_size=dim, max_size=dim)
+    rows = draw(st.lists(st.one_of(big, grid, tiny), max_size=60))
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_point_clouds())
+def test_direction_cone_is_the_thinned_unit_directions(pts):
+    dim = pts.shape[1]
+    far = pts[np.linalg.norm(pts, axis=1) > 1e-9]
+    C = direction_cone(pts, "R^d", dim)
+    if len(far) == 0:
+        assert (C.kind, C.name, C.dim) == ("exact", "Zero", dim)
+        return
+    assert C.kind == "sampled" and C.dim == dim
+    dirs = C.directions
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+    # rows near the origin never contribute
+    assert np.array_equal(direction_cone(far, "R^d", dim).directions, dirs)
+    # no two directions share a dedup_directions cell
+    cells = np.round(dirs / RESOLUTION).astype(np.int64)
+    assert len(np.unique(cells, axis=0)) == len(dirs)

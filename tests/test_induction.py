@@ -194,6 +194,7 @@ CARTAN_COUNTS = [
     ("so(3,3)", {(2, 1), (1, 2), (0, 3)}),
     ("so(5,0)", {(2, 0)}),
     ("abelian(3)", {(0, 3)}),
+    ("so(2,0)", {(1, 0)}),
 ]
 
 
