@@ -38,11 +38,10 @@ from .errors import BadPartition, UnsupportedAlgebra
 from .induction import (
     SubalgebraEmbedding,
     decomposability_obstructed,
-    diagonal_embedding,
     pair_embedding,
     restriction_class_counts,
 )
-from .liealg import _flatten, build_algebra, random_group_words
+from .liealg import _flatten, build_algebra, random_group_words, sl2_casimir
 from .orbits import OrbitParam, orbit_branch, orbit_family, orbit_sum_sample, union_family
 
 
@@ -273,7 +272,7 @@ def tensor_analysis(
         samples,
         seed=seed,
     )
-    cas = pts[:, 0] ** 2 + pts[:, 1] ** 2 - pts[:, 2] ** 2
+    cas = sl2_casimir(pts)
     scale = np.einsum("ij,ij->i", pts, pts)
     tol = 1e-9 * np.maximum(scale, 1.0)
     counts = {

@@ -41,7 +41,6 @@ from .catalog import (
     golden_table,
     quaternionic_wf,
     representation,
-    sopq_family,
     tensor_analysis,
     wavefront_of,
 )
@@ -64,8 +63,8 @@ from .induction import (
     restriction_lower_bound,
     saturation_is_full,
 )
-from .liealg import build_algebra, classify_batch, classify_element
-from .orbits import OrbitParam, density_ratio_F, orbit_sample, sl2_casimir
+from .liealg import build_algebra, classify_element, sl2_casimir
+from .orbits import OrbitParam, density_ratio_F, orbit_sample
 from .tempered import bk_weak_containment
 
 CLAIMS = {
@@ -230,7 +229,7 @@ def _cmd_orbit_sample(args) -> _Run:
     L = build_algebra(args.algebra)
     param = _parse_orbit(args.orbit)
     pts = _orbit_points(L, param, args.samples, args.seed, args.radius)
-    inv = [sl2_casimir(p) for p in pts[:16]] if L.chart == "sl2" else []
+    inv = sl2_casimir(pts[:16]) if L.chart == "sl2" else []
     return _Run(
         {"algebra": L.name, "orbit": args.orbit},
         {"count": len(pts), "quadric_invariant_head": inv},
@@ -280,11 +279,9 @@ def _cmd_induce(args) -> _Run:
     S = exact_cone(args.sub_cone, E.sub.name, E.sub.dim)
     cone = induced_cone(E, S, budget=args.samples, seed=args.seed)
     dirs = cone_directions(cone, args.seed)
-    counts: dict[str, int] = {}
+    counts = class_counts(E.ambient, dirs)
     tables = {}
     if len(dirs):
-        for t in classify_batch(E.ambient, dirs):
-            counts[str(t)] = counts.get(str(t), 0) + 1
         tables["directions"] = ("directions.csv", E.ambient.basis_names, dirs)
     return _Run(
         {"pair": E.name, "sub_cone": args.sub_cone,

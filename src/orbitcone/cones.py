@@ -1,8 +1,12 @@
 """Closed cone descriptions and asymptotic cones of point families.
 
-A cone is one of three kinds.  ``exact`` cones are the named quadric cones
-of the rank-one catalog (plus the generic Zero and Full cones), evaluated by
-closed-form angular distance.  ``polyhedral`` cones carry generator rays.
+A cone is one of three kinds.  ``exact`` cones are the named cones of the
+rank-one catalog: the quadric cones of the sl2 chart plus the generic Zero
+and Full.  One table gives each name its closed bands of the polar angle
+from +z; the angular distance to the cone is the distance to the nearest
+band and its direction grid is one latitude grid per band.  The quadric
+names exist only on sl2-chart algebras.  ``polyhedral`` cones carry
+generator rays.
 ``sampled`` cones are finite sets of unit directions at the one angular
 resolution ``RESOLUTION``; ``direction_cone`` makes one from any point
 cloud (asymptotic cones, induced cones, restriction bounds).
@@ -14,7 +18,7 @@ points at least as far out as the largest radius, take their direction cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
@@ -26,34 +30,29 @@ from .errors import (
     InsufficientRadii,
     UnsupportedAlgebra,
 )
-from .liealg import null_rows
-
-EXACT_NAMES = (
-    "Nplus",
-    "Nminus",
-    "N",
-    "HypClosure",
-    "EllPlusClosure",
-    "EllMinusClosure",
-    "Full",
-    "Zero",
-)
+from .liealg import build_algebra, null_rows
 
 DEFAULT_RADII = (10.0, 30.0, 100.0, 300.0)
 RESOLUTION = 0.02
 MAX_DUAL_DIM = 8
 
-# human-readable defining conditions for the named sl2-chart cones
-EXACT_CONDITIONS = {
-    "Nplus": ["x^2 + y^2 - z^2 = 0", "z >= 0"],
-    "Nminus": ["x^2 + y^2 - z^2 = 0", "z <= 0"],
-    "N": ["x^2 + y^2 - z^2 = 0"],
-    "HypClosure": ["x^2 + y^2 - z^2 >= 0"],
-    "EllPlusClosure": ["x^2 + y^2 - z^2 <= 0", "z >= 0"],
-    "EllMinusClosure": ["x^2 + y^2 - z^2 <= 0", "z <= 0"],
-    "Full": ["no constraint"],
-    "Zero": ["all coordinates 0"],
+_QUARTER = np.pi / 4
+# The named cones, name -> (bands, defining conditions).  Each is the union
+# of its closed bands [lo, hi] of the polar angle measured from the +z pole
+# (the last coordinate axis); all but Full and Zero are quadric cones of the
+# sl2 chart.
+_EXACT_CONES = {
+    "Nplus": (((_QUARTER, _QUARTER),), ["x^2 + y^2 - z^2 = 0", "z >= 0"]),
+    "Nminus": (((3 * _QUARTER, 3 * _QUARTER),), ["x^2 + y^2 - z^2 = 0", "z <= 0"]),
+    "N": (((_QUARTER, _QUARTER), (3 * _QUARTER, 3 * _QUARTER)),
+          ["x^2 + y^2 - z^2 = 0"]),
+    "HypClosure": (((_QUARTER, 3 * _QUARTER),), ["x^2 + y^2 - z^2 >= 0"]),
+    "EllPlusClosure": (((0.0, _QUARTER),), ["x^2 + y^2 - z^2 <= 0", "z >= 0"]),
+    "EllMinusClosure": (((3 * _QUARTER, np.pi),), ["x^2 + y^2 - z^2 <= 0", "z <= 0"]),
+    "Full": (((0.0, np.pi),), ["no constraint"]),
+    "Zero": ((), ["all coordinates 0"]),
 }
+EXACT_NAMES = tuple(_EXACT_CONES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +93,13 @@ class PointFamily:
 
 
 def exact_cone(name: str, algebra: str, dim: int) -> ConeDescription:
-    if name not in EXACT_NAMES:
+    """A named cone over an algebra; the quadric names need the sl2 chart."""
+    if name not in _EXACT_CONES:
         raise UnsupportedAlgebra(f"unknown exact cone name {name!r}")
+    if name not in ("Full", "Zero") and build_algebra(algebra).chart != "sl2":
+        raise UnsupportedAlgebra(
+            f"the {name} cone is defined on sl2-chart algebras, not on {algebra}"
+        )
     return ConeDescription(kind="exact", algebra=algebra, dim=dim, name=name)
 
 
@@ -159,36 +163,17 @@ def direction_cone(points, algebra: str, dim: int) -> ConeDescription:
 
 
 def _exact_angular_distance(name: str, u: np.ndarray) -> float:
-    """Angular distance from a unit vector to a named cone (sl2 chart)."""
-    if name == "Full":
-        return 0.0
-    if name == "Zero":
-        return np.pi
-    x, y, z = u
-    rho = np.hypot(x, y)
-    phi = np.arctan2(rho, z)  # angle from the +z pole, in [0, pi]
-    if name == "Nplus":
-        return float(np.arccos(np.clip((rho + z) / np.sqrt(2.0), -1.0, 1.0)))
-    if name == "Nminus":
-        return float(np.arccos(np.clip((rho - z) / np.sqrt(2.0), -1.0, 1.0)))
-    if name == "N":
-        return min(
-            _exact_angular_distance("Nplus", u), _exact_angular_distance("Nminus", u)
-        )
-    if name == "HypClosure":
-        if np.pi / 4 <= phi <= 3 * np.pi / 4:
-            return 0.0
-        return float(min(abs(phi - np.pi / 4), abs(phi - 3 * np.pi / 4)))
-    if name == "EllPlusClosure":
-        return float(max(0.0, phi - np.pi / 4))
-    if name == "EllMinusClosure":
-        return float(max(0.0, 3 * np.pi / 4 - phi)) if phi < 3 * np.pi / 4 else 0.0
-    raise UnsupportedAlgebra(f"unknown exact cone name {name!r}")
+    """Angular distance from a unit vector to a named cone: from its polar
+    angle to the nearest band, pi when there is none."""
+    phi = np.arctan2(np.linalg.norm(u[:-1]), u[-1])  # in [0, pi]
+    return float(min((max(0.0, lo - phi, phi - hi) for lo, hi in _EXACT_CONES[name][0]),
+                     default=np.pi))
 
 
 def _band_grid(phi_lo: float, phi_hi: float) -> np.ndarray:
-    """Deterministic near-uniform grid on a latitude band of the 2-sphere."""
-    rows = max(2, int(np.ceil((phi_hi - phi_lo) / RESOLUTION)) + 1)
+    """Deterministic near-uniform grid on a latitude band of the 2-sphere;
+    a single ring when the band is one latitude."""
+    rows = max(2, int(np.ceil((phi_hi - phi_lo) / RESOLUTION)) + 1) if phi_hi > phi_lo else 1
     out = []
     for phi in np.linspace(phi_lo, phi_hi, rows):
         s = np.sin(phi)
@@ -203,34 +188,13 @@ def cone_directions(C: ConeDescription, seed: int = 0) -> np.ndarray:
     if C.kind == "sampled":
         return C.directions
     if C.kind == "exact":
-        name = C.name
-        if name == "Zero":
+        bands = _EXACT_CONES[C.name][0]
+        if not bands:
             return np.zeros((0, C.dim))
-        if name == "Full":
-            if C.dim == 3:
-                return _band_grid(0.0, np.pi)
-            rng = np.random.default_rng(seed)
-            n = min(40000, max(1000, int(16.0 / RESOLUTION**2)))
-            v = rng.standard_normal((n, C.dim))
+        if C.dim != 3:  # Full off the 2-sphere: a random sphere sample
+            v = np.random.default_rng(seed).standard_normal((40_000, C.dim))
             return v / np.linalg.norm(v, axis=1, keepdims=True)
-        quarter = np.pi / 4
-        if name in ("Nplus", "Nminus", "N"):
-            ntheta = max(8, int(np.ceil(2 * np.pi / (RESOLUTION * np.sqrt(2.0)))))
-            th = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
-            circ = np.column_stack(
-                [np.cos(th), np.sin(th), np.ones(ntheta)]
-            ) / np.sqrt(2.0)
-            if name == "Nplus":
-                return circ
-            minus = circ * np.array([1.0, 1.0, -1.0])
-            return minus if name == "Nminus" else np.vstack([circ, minus])
-        if name == "HypClosure":
-            return _band_grid(quarter, 3 * quarter)
-        if name == "EllPlusClosure":
-            return _band_grid(0.0, quarter)
-        if name == "EllMinusClosure":
-            return _band_grid(3 * quarter, np.pi)
-        raise UnsupportedAlgebra(f"unknown exact cone name {name!r}")
+        return np.vstack([_band_grid(lo, hi) for lo, hi in bands])
     # polyhedral: generators, their span under nonnegative combinations
     g = C.generators
     if len(g) == 0:
@@ -467,7 +431,7 @@ def cone_record(C: ConeDescription) -> dict:
     rec = {"kind": C.kind, "algebra": C.algebra, "dim": C.dim}
     if C.kind == "exact":
         rec["name"] = C.name
-        rec["inequalities"] = EXACT_CONDITIONS[C.name]
+        rec["inequalities"] = _EXACT_CONES[C.name][1]
     elif C.kind == "polyhedral":
         rec["generators"] = [[round(float(v), 12) for v in row] for row in C.generators]
     else:

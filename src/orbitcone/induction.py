@@ -26,7 +26,6 @@ from .cones import (
     ConeDescription,
     cone_directions,
     direction_cone,
-    exact_cone,
     polyhedral_cone,
 )
 from .errors import (

@@ -506,6 +506,12 @@ def classify_element(L: MatrixLieAlgebra, xi) -> ElementClass:
     return ElementClass(_ad_tags(L, u)[0], tuple((float(v.real), float(v.imag)) for v in eigs))
 
 
+def sl2_casimir(xi):
+    """The sl2-chart Casimir x^2 + y^2 - z^2 over the last axis."""
+    v = np.asarray(xi, dtype=float)
+    return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] - v[..., 2] * v[..., 2]
+
+
 def classify_batch(L: MatrixLieAlgebra, points: np.ndarray) -> np.ndarray:
     """Vectorized class tags for many points.
 
@@ -522,7 +528,7 @@ def classify_batch(L: MatrixLieAlgebra, points: np.ndarray) -> np.ndarray:
         live = u[nz]
         out[nz] = [t for k in range(0, len(live), 1024) for t in _ad_tags(L, live[k:k + 1024])]
     else:
-        cas = u[nz, 0] ** 2 + u[nz, 1] ** 2 - u[nz, 2] ** 2
+        cas = sl2_casimir(u[nz])
         out[nz] = np.select([np.abs(cas) <= 0.02, cas > 0],
                             ["Nilpotent", "Hyperbolic"], "Elliptic").tolist()
     return out

@@ -37,6 +37,7 @@ from .liealg import (
     element_matrix,
     pairing,
     random_group_words,
+    sl2_casimir,
 )
 
 GOLDEN = 0.6180339887498949
@@ -57,11 +58,6 @@ class OrbitParam:
     kind: str
     value: float | None = None
     base: np.ndarray | None = None
-
-
-def sl2_casimir(xi) -> float:
-    x, y, z = np.asarray(xi, dtype=float)
-    return float(x * x + y * y - z * z)
 
 
 def orbit_invariants(L: MatrixLieAlgebra, xi) -> np.ndarray:
@@ -212,7 +208,7 @@ def _sl2_branch_sampler(kind: str, value: float | None):
 
     if kind == "zero":
         def sample(rng, radius, count):
-            return np.zeros((1, 3))
+            return np.zeros((count, 3))
 
         return sample
 
@@ -378,10 +374,7 @@ def orbit_sample(
     """Draw ``count`` points of one orbit, norms spread up to ~2*radius."""
     rng = np.random.default_rng(seed)
     branch = orbit_branch(L, param)
-    pts = branch.sample(rng, radius, count)
-    while len(pts) < count:
-        pts = np.vstack([pts, branch.sample(rng, radius, count - len(pts))])
-    return pts[:count]
+    return branch.sample(rng, radius, count)
 
 
 def orbit_sum_sample(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonCommuting, UnsupportedAlgebra
 from .induction import SubalgebraEmbedding
-from .liealg import MatrixLieAlgebra, ad_matrix, null_rows
+from .liealg import ad_matrix, null_rows
 
 COMMUTE_TOL = 1e-9
 INT_SNAP_TOL = 1e-6

@@ -123,6 +123,10 @@ def test_validation_errors_exit_2(tmp_path):
         ["wavefront", "--rep", "L2_GK", "--radii=0,10,100"],
         ["measure-scan", "--orbit", "hyp:1e300", "--samples", "4"],
         ["measure-scan", "--orbit", "ell+:1e160"],
+        # quadric cone names on algebras without the sl2 chart
+        ["restrict", "--pair", "su(2,1)|so(2,1)", "--cone", "HypClosure"],
+        ["induce", "--pair", "so(2,2)|blocks[(2,2)]", "--sub-cone", "HypClosure"],
+        ["induce", "--pair", "so(3,1)|blocks[(3,0),(0,1)]", "--sub-cone", "Nplus"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -132,7 +136,8 @@ def test_validation_errors_exit_2(tmp_path):
          "radius-huge", "orbit-value-huge", "orbit-value-tiny",
          "tempered-radii", "classify-samples", "dual-angular-tol",
          "angular-tol-neg-inf-spaced", "radii-negative", "radii-huge",
-         "radii-huge-union", "radii-zero", "scan-hyp-huge", "scan-ell-huge"],
+         "radii-huge-union", "radii-zero", "scan-hyp-huge", "scan-ell-huge",
+         "restrict-quadric-su21", "induce-quadric-so22", "induce-quadric-so3"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, args):
     code, _, out = run(args, tmp_path)
@@ -233,6 +238,18 @@ def test_induce_writes_class_counts(tmp_path):
     counts = rep["result"]["class_counts"]
     assert set(counts) >= {"Elliptic", "Hyperbolic", "Nilpotent"}
     assert (out / "directions.csv").exists()
+
+
+def test_induce_without_directions_counts_zero(tmp_path):
+    # h = g: the annihilator is 0 and the induced cone of Zero is Zero
+    code, rep, out = run(
+        ["induce", "--pair", "sl2R|sl2R", "--sub-cone", "Zero", "--samples", "2000"],
+        tmp_path,
+    )
+    assert code == 0
+    assert rep["result"]["cone"]["name"] == "Zero"
+    assert rep["result"]["class_counts"] == {"Zero": 1}
+    assert not (out / "directions.csv").exists()
 
 
 def test_golden_table_exit_tracks_rows(tmp_path, capsys):

@@ -21,9 +21,11 @@ from orbitcone import (
     union_family,
 )
 from orbitcone.cones import (
+    EXACT_NAMES,
     RESOLUTION,
     FamilyBranch,
     PointFamily,
+    _exact_angular_distance,
     _min_angles_to,
     direction_cone,
 )
@@ -92,6 +94,29 @@ def test_membership_examples():
     assert cone_contains(full, [0.3, -2.0, 11.0])
     zero = exact_cone("Zero", "sl2R", 3)
     assert not cone_contains(zero, [1e-3, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("name", EXACT_NAMES)
+def test_named_cone_distance_matches_its_grid(name):
+    C = exact_cone(name, "sl2R", 3)
+    u = np.random.default_rng(8).standard_normal((2000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    table = np.array([_exact_angular_distance(name, v) for v in u])
+    assert np.max(np.abs(table - _min_angles_to(u, cone_directions(C)))) <= RESOLUTION
+    grid = cone_directions(C)
+    assert all(_exact_angular_distance(name, d) <= 1e-12 for d in grid)
+
+
+@pytest.mark.parametrize("name", EXACT_NAMES)
+def test_quadric_names_need_the_sl2_chart(name):
+    for algebra, dim in (("so(2,1)", 3), ("sl2R", 3)):
+        assert exact_cone(name, algebra, dim).name == name
+    for algebra, dim in (("su(2,1)", 8), ("so(3,0)", 3), ("so(2,2)", 6)):
+        if name in ("Full", "Zero"):
+            assert exact_cone(name, algebra, dim).name == name
+        else:
+            with pytest.raises(UnsupportedAlgebra):
+                exact_cone(name, algebra, dim)
 
 
 def test_membership_scale_invariance():

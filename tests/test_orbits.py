@@ -54,6 +54,27 @@ def test_samples_sit_on_the_quadric(sl2, param):
         assert np.all(pts[:, 2] < 0)
 
 
+@pytest.mark.parametrize("count", [1, 7, 1000])
+def test_every_sampler_returns_count_rows(sl2, count):
+    su21 = build_algebra("su(2,1)")
+    branches = [orbit_branch(sl2, p) for p in PARAMS + [OrbitParam("sl2R", "zero")]]
+    branches += [b for kind in ("hyp_union", "ell_union_plus", "ell_union_minus")
+                 for b in union_family(sl2, kind).branches]
+    rng = np.random.default_rng(0)
+    for b in branches:
+        assert b.sample(rng, 50.0, count).shape == (count, 3), b.label
+    for base in (np.eye(8)[0], np.zeros(8)):  # transported, conical
+        b = orbit_branch(su21, OrbitParam("su(2,1)", "point", base=base))
+        assert b.sample(rng, 50.0, count).shape == (count, 8), base
+
+
+def test_sl2_casimir_reads_the_last_axis():
+    pts = np.array([[[1.0, 2.0, 3.0], [0.5, 0.0, -0.5]], [[0.0, 0.0, 2.0], [3.0, 4.0, 0.0]]])
+    want = [[1.0 + 4.0 - 9.0, 0.0], [-4.0, 25.0]]
+    assert np.array_equal(sl2_casimir(pts), want)
+    assert sl2_casimir([1.0, 1.0, 1.0]) == 1.0
+
+
 def test_norm_window_reaches_requested_radius(sl2):
     # the asymptotic-cone filter keeps norm >= radius, so samples must land there
     for param in PARAMS:
