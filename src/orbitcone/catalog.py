@@ -41,7 +41,7 @@ from .induction import (
     pair_embedding,
     restriction_class_counts,
 )
-from .liealg import _flatten, build_algebra, random_group_words, sl2_casimir
+from .liealg import build_algebra, matrix_coords, random_group_words, sl2_casimir
 from .orbits import OrbitParam, orbit_branch, orbit_family, orbit_sum_sample, union_family
 
 
@@ -209,11 +209,7 @@ def quaternionic_wf(budget: int = 40_000, seed: int = 0) -> ConeDescription:
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, n_rank1))
     vs = np.column_stack([w[:, 0], w[:, 1], phases])  # |v1|^2+|v2|^2 = |v3|^2
-    coords = []
-    for v in vs:
-        x = 1j * np.outer(v, v.conj()) @ J
-        coords.append(g.flat_pinv @ _flatten(x))
-    pts = np.array(coords)
+    pts = matrix_coords(g, 1j * (vs[:, :, None] * vs[:, None, :].conj()) @ J)
     pts = np.vstack([pts, -pts])
 
     # regular nilpotents: transports of the real-form seeds e0 +- e2

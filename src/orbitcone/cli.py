@@ -137,8 +137,7 @@ def _clean(obj):
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return 0.0 if v == 0 else round(v, 12)
+        return round(float(obj), 12) or 0.0  # no -0.0 from rounded noise
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -268,6 +267,8 @@ def _cmd_dual(args) -> _Run:
         raise OrbitConeError(
             f"generators have different lengths: {[len(g) for g in gens]}"
         )
+    if not gens or len(gens[0]) == 0:
+        raise OrbitConeError("--generators needs at least one vector")
     dual = dual_cone(polyhedral_cone(np.array(gens)))
     return _Run(
         {"generators": [g.tolist() for g in gens]}, {"dual": cone_record(dual)}

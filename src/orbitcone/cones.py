@@ -19,6 +19,7 @@ points at least as far out as the largest radius, take their direction cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import nnls
@@ -373,8 +374,6 @@ def dual_cone(C: ConeDescription) -> ConeDescription:
                 if np.all(gp @ u <= 1e-10):
                     rays.append(basis @ u)
         else:
-            from itertools import combinations
-
             m = len(gp)
             seen = []
             for idx in combinations(range(m), d2 - 1):

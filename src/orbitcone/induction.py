@@ -37,7 +37,6 @@ from .errors import (
 )
 from .liealg import (
     MatrixLieAlgebra,
-    _split_args,
     ad_matrix,
     bracket,
     build_algebra,
@@ -47,6 +46,7 @@ from .liealg import (
     matrix_coords,
     null_rows,
     random_group_words,
+    split_args,
 )
 
 BRACKET_TOL = 1e-12
@@ -79,17 +79,14 @@ def make_embedding(
     inc = np.asarray(inclusion, dtype=float)
     if inc.shape != (sub.dim, ambient.dim):
         raise DimensionMismatch("inclusion must be (dim_sub, dim_ambient)")
-    # bracket respect on basis pairs
-    for i in range(sub.dim):
-        for j in range(i + 1, sub.dim):
-            lhs = sub.structure[i, j] @ inc
-            rhs = bracket(ambient, inc[i], inc[j])
-            if np.max(np.abs(lhs - rhs)) > BRACKET_TOL * max(
-                1.0, np.max(np.abs(rhs))
-            ):
-                raise DimensionMismatch(
-                    f"inclusion does not respect brackets at pair ({i},{j})"
-                )
+    # bracket respect on basis pairs: rhs[i, j] = [inc_i, inc_j] in g
+    lhs = sub.structure @ inc
+    rhs = inc @ np.tensordot(inc, ambient.structure, axes=1)
+    tol = BRACKET_TOL * np.maximum(1.0, np.max(np.abs(rhs), axis=2))
+    bad = np.argwhere(np.triu(np.max(np.abs(lhs - rhs), axis=2) > tol, 1))
+    if len(bad):
+        i, j = bad[0]
+        raise DimensionMismatch(f"inclusion does not respect brackets at pair ({i},{j})")
     q = np.linalg.solve(sub.gram, inc @ ambient.gram)
     comp = null_rows(inc @ ambient.gram)
     if comp.shape[0] != ambient.dim - sub.dim:
@@ -143,33 +140,28 @@ def _so_blocks_embedding(p: int, q: int, parts) -> SubalgebraEmbedding:
     sub = build_algebra(
         sub_specs[0] if len(sub_specs) == 1 else "prod(" + ",".join(sub_specs) + ")"
     )
-    # global index maps: block k owns a slice of plus and of minus indices
+    # block k owns a slice of plus and of minus indices; the sub's own
+    # block-diagonal rows list the nontrivial blocks in the same order
     rows, off_p, off_q = [], 0, 0
-    n = p + q
     for a, b in parts:
         if a + b >= 2:
-            fac = build_algebra(f"so({a},{b})")
-            local_to_global = [off_p + t for t in range(a)] + [
-                p + off_q + t for t in range(b)
-            ]
-            for mloc in fac.basis:
-                big = np.zeros((n, n))
-                big[np.ix_(local_to_global, local_to_global)] = mloc.real
-                rows.append(matrix_coords(ambient, big))
+            rows += [*range(off_p, off_p + a), *range(p + off_q, p + off_q + b)]
         off_p += a
         off_q += b
+    P = np.eye(p + q)[:, rows]  # 0/1 placement of the sub rows
     name = f"pair(so({p},{q}), blocks[{','.join(f'({a},{b})' for a, b in parts)}])"
-    return make_embedding(ambient, sub, np.array(rows), name)
+    return make_embedding(ambient, sub, matrix_coords(ambient, P @ sub.basis @ P.T), name)
 
 
-def _matrix_span_embedding(ambient_spec: str, sub_spec: str) -> SubalgebraEmbedding:
+def _matrix_span_embedding(
+    ambient_spec: str, sub_spec: str, name: str = ""
+) -> SubalgebraEmbedding:
     ambient, sub = build_algebra(ambient_spec), build_algebra(sub_spec)
     if ambient.matrix_size != sub.matrix_size:
         raise UnsupportedAlgebra(
             f"no catalog embedding of {sub.name} into {ambient.name}"
         )
-    rows = [matrix_coords(ambient, m) for m in sub.basis]
-    return make_embedding(ambient, sub, np.array(rows))
+    return make_embedding(ambient, sub, matrix_coords(ambient, sub.basis), name)
 
 
 def diagonal_embedding(factor_spec: str = "sl2R") -> SubalgebraEmbedding:
@@ -195,7 +187,7 @@ def pair_embedding(spec: str) -> SubalgebraEmbedding:
     m = re.fullmatch(r"pair\((.+)\)", s, flags=re.DOTALL)
     if not m:
         raise UnsupportedAlgebra(f"cannot parse embedding spec {spec!r}")
-    parts = _split_args(m.group(1))
+    parts = split_args(m.group(1))
     if len(parts) != 2:
         raise UnsupportedAlgebra(f"pair spec needs two arguments: {spec!r}")
     left, right = parts
@@ -207,12 +199,7 @@ def pair_embedding(spec: str) -> SubalgebraEmbedding:
             int(mm.group(1)), int(mm.group(2)), _blocks_partition(right)
         )
     if right in ("so(2)", "so(2,0)") and left in ("sl2R", "sl2r"):
-        right = "so(2,0)"
-        ambient = build_algebra(left)
-        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])  # E12 - E21 = -e_z
-        rows = np.array([matrix_coords(ambient, rot)])
-        return make_embedding(ambient, build_algebra(right), rows,
-                              name="pair(sl2R, so(2))")
+        return _matrix_span_embedding(left, "so(2,0)", name="pair(sl2R, so(2))")
     return _matrix_span_embedding(left, right)
 
 
@@ -366,13 +353,13 @@ def cartan_signature(L: MatrixLieAlgebra, gens, seed: int = 0) -> tuple[int, int
     g = np.atleast_2d(np.asarray(gens, dtype=float))
     k = len(g)
     scale = max(np.max(np.abs(g)), 1e-12)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.max(np.abs(bracket(L, g[i], g[j]))) > 1e-9 * scale * scale:
-                raise NonCommuting(f"generators {i} and {j} do not commute")
+    comm = np.max(np.abs(bracket(L, g[:, None], g[None])), axis=2)
+    bad = np.argwhere(np.triu(comm > 1e-9 * scale * scale, 1))
+    if len(bad):
+        raise NonCommuting(f"generators {bad[0][0]} and {bad[0][1]} do not commute")
     if k == 0:
         return (0, 0)
-    ads = np.stack([ad_matrix(L, row) for row in g])
+    ads = ad_matrix(L, g)
     rng = np.random.default_rng(seed)
     for _ in range(16):
         combo = rng.standard_normal(k)
@@ -382,16 +369,13 @@ def cartan_signature(L: MatrixLieAlgebra, gens, seed: int = 0) -> tuple[int, int
         idx = np.where(big)[0]
         mats = ads
         if len(idx) == 0:  # no roots: use the weights of the defining matrices
-            mats = np.stack([element_matrix(L, row) for row in g])
+            mats = element_matrix(L, g)
             vecs = np.linalg.eig(np.tensordot(combo, mats, axes=1))[1]
             idx = np.arange(vecs.shape[1])
         elif len(idx) != L.dim - null_rows(a).shape[0]:
             continue  # not a regular combination, retry
-        roots = np.empty((len(idx), k), dtype=complex)
-        for r, j in enumerate(idx):
-            v = vecs[:, j]
-            denom = np.vdot(v, v).real
-            roots[r] = [np.vdot(v, mats[i] @ v) / denom for i in range(k)]
+        v = vecs[:, idx] / np.linalg.norm(vecs[:, idx], axis=0)
+        roots = np.einsum("ar,kab,br->rk", v.conj(), mats, v)  # <v_r, M_i v_r>
         t_dim = null_rows(roots.real, rtol=1e-7).shape[0]
         a_dim = null_rows(roots.imag, rtol=1e-7).shape[0]
         if t_dim + a_dim != k:
@@ -406,8 +390,7 @@ def _verify_cartan(L: MatrixLieAlgebra, gens, expect_rank: int) -> None:
     g = np.atleast_2d(gens)
     if len(g) != expect_rank:
         raise UnsupportedAlgebra("representative has wrong dimension")
-    stacked = np.vstack([ad_matrix(L, row) for row in g])
-    cent = null_rows(stacked, rtol=1e-10)
+    cent = null_rows(ad_matrix(L, g).reshape(-1, L.dim), rtol=1e-10)
     if cent.shape[0] != expect_rank:
         raise UnsupportedAlgebra("representative is not maximal abelian")
 
@@ -457,7 +440,7 @@ def _so_cartan_classes(p: int, q: int) -> list[CartanClass]:
                         d1, d2 = qi.pop(0), qi.pop(0)
                         mats.append(rot(c1, c2) + rot(d1, d2))
                         mats.append(boost(c1, d1) + boost(c2, d2))
-                    gens = np.array([matrix_coords(L, m) for m in mats])
+                    gens = matrix_coords(L, mats)
                     label = f"a={a},b={b},split={rs},mixed={rm}"
                     out[sig] = CartanClass(L.name, sig, gens, label)
     return [out[s] for s in sorted(out, reverse=True)]
@@ -517,7 +500,7 @@ def regular_signatures(L: MatrixLieAlgebra, pts: np.ndarray) -> list:
     so = re.fullmatch(r"so\((\d+),(\d+)\)", L.name)
     if not so and L.name not in ("sl2R", "su(2,1)"):
         raise UnsupportedAlgebra(f"no Cartan signature rule for {L.name}")
-    X = np.tensordot(pts, np.stack(L.basis), axes=1)
+    X = element_matrix(L, pts)
     lam = np.linalg.eigvals(X).astype(complex)
     n = lam.shape[1]
     tol = SIGNATURE_TOL * np.linalg.norm(X, axis=(1, 2))[:, None]

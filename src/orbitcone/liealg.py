@@ -7,6 +7,14 @@ of the dual are stored in the chart obtained by transporting along the trace
 form ``X -> Tr(X .)`` and dividing by i.  In that chart the coadjoint action
 of X is simply ``ad_X``, which coincides with ``-(ad_X)^T`` acting on
 dual-basis coordinates because ad is skew for the trace form.
+
+Coordinates and matrices cross over in one place each way:
+:func:`element_matrix` takes coordinates to matrices and
+:func:`matrix_coords` takes matrices to coordinates (through the stored
+pseudo-inverse of the flattened basis, with a span check).  Both, and
+:func:`ad_matrix` and :func:`bracket`, act on stacks: leading axes of the
+input are kept in the output, so callers transport a whole basis or a
+batch of points in one call.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ class MatrixLieAlgebra:
     Attributes
     ----------
     name : canonical specification string ("sl2R", "so(3,2)", ...).
-    basis : tuple of n x n matrices spanning the algebra over the reals.
+    basis : (dim, n, n) stack of matrices spanning the algebra over the reals.
     basis_names : coordinate labels, one per basis element.
     structure : array c with [e_i, e_j] = sum_k c[i,j,k] e_k.
     gram : trace-form matrix Tr(e_i e_j) (real part for complex matrices).
@@ -51,7 +59,7 @@ class MatrixLieAlgebra:
     """
 
     name: str
-    basis: tuple
+    basis: np.ndarray
     basis_names: tuple
     structure: np.ndarray
     gram: np.ndarray
@@ -66,7 +74,7 @@ class MatrixLieAlgebra:
 
     @property
     def matrix_size(self) -> int:
-        return self.basis[0].shape[0] if self.basis else 0
+        return self.basis.shape[1]
 
     def __repr__(self):  # pragma: no cover
         return f"MatrixLieAlgebra({self.name}, dim={self.dim})"
@@ -101,6 +109,16 @@ def _coords(x) -> np.ndarray:
 def check_coords(L: MatrixLieAlgebra, x) -> np.ndarray:
     c = _coords(x)
     if c.shape != (L.dim,):
+        raise DimensionMismatch(
+            f"expected {L.dim} coordinates for {L.name}, got shape {c.shape}"
+        )
+    return c
+
+
+def _coord_stack(L: MatrixLieAlgebra, x) -> np.ndarray:
+    """Coordinates over the last axis, any leading axes."""
+    c = _coords(x)
+    if c.shape[-1:] != (L.dim,):
         raise DimensionMismatch(
             f"expected {L.dim} coordinates for {L.name}, got shape {c.shape}"
         )
@@ -183,7 +201,7 @@ def _basis_matrix_names(kind, *args):
     raise UnsupportedAlgebra(f"unknown algebra kind {kind!r}")
 
 
-def _split_args(s: str):
+def split_args(s: str):
     """Split a comma-separated argument list at parenthesis and bracket
     depth zero."""
     parts, depth, cur = [], 0, []
@@ -232,22 +250,23 @@ def _block_diag(mats, sizes, offset):
 
 
 def _flatten(m) -> np.ndarray:
-    """A matrix as one real vector: real parts, then imaginary parts."""
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+    """Matrices as real vectors over the last two axes: real parts, then
+    imaginary parts."""
+    flat = m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def structure_constants(basis, flat_pinv) -> np.ndarray:
-    """Solve [e_i, e_j] = sum_k c[i,j,k] e_k by least squares on flattened
-    matrices (exact up to roundoff for a genuine basis), given the
-    pseudo-inverse of the flattened basis."""
+    """Solve [e_i, e_j] = sum_k c[i,j,k] e_k on flattened matrices (exact
+    up to roundoff for a genuine basis), given the stacked basis and the
+    pseudo-inverse of the flattened basis: one stacked commutator product
+    over the pairs i < j."""
     dim = len(basis)
     c = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            coef = flat_pinv @ _flatten(comm)
-            c[i, j] = coef
-            c[j, i] = -coef
+    i, j = np.triu_indices(dim, 1)
+    coef = _flatten(basis[i] @ basis[j] - basis[j] @ basis[i]) @ flat_pinv.T
+    c[i, j] = coef
+    c[j, i] = -coef
     return c
 
 
@@ -261,12 +280,12 @@ def trace_gram(basis) -> np.ndarray:
 
 
 def _assemble(name, mats, names, split, chart) -> MatrixLieAlgebra:
-    mats = tuple(np.asarray(m) for m in mats)
-    flat = np.stack([_flatten(m) for m in mats], axis=1) if mats else np.zeros((0, 0))
+    mats = np.stack(mats) if mats else np.zeros((0, 0, 0))
+    flat = _flatten(mats).T
     pinv = np.linalg.pinv(flat)
     c = structure_constants(mats, pinv)
     g = trace_gram(mats)
-    if len(mats) and abs(np.linalg.det(g)) <= GRAM_DET_TOL:
+    if abs(np.linalg.det(g)) <= GRAM_DET_TOL:  # det of the 0 x 0 form is 1
         raise DegenerateForm(f"trace form of {name} is singular")
     split_arr = np.asarray(split, dtype=float).reshape(len(split), len(mats))
     return MatrixLieAlgebra(
@@ -292,7 +311,7 @@ def build_algebra(spec: str) -> MatrixLieAlgebra:
     """
     s = spec.strip()
     if s.startswith("prod(") and s.endswith(")"):
-        parts = _split_args(s[5:-1])
+        parts = split_args(s[5:-1])
         if not parts:
             raise UnsupportedAlgebra("empty product")
         factors = [build_algebra(p) for p in parts]
@@ -330,34 +349,32 @@ def build_algebra(spec: str) -> MatrixLieAlgebra:
 
 
 def bracket(L: MatrixLieAlgebra, x, y) -> np.ndarray:
-    """Lie bracket in coordinates via structure constants."""
-    cx, cy = check_coords(L, x), check_coords(L, y)
-    return np.einsum("ijk,i,j->k", L.structure, cx, cy)
+    """Lie bracket in coordinates via structure constants; leading axes of
+    x and y broadcast."""
+    cx, cy = _coord_stack(L, x), _coord_stack(L, y)
+    return np.einsum("ijk,...i,...j->...k", L.structure, cx, cy)
 
 
 def element_matrix(L: MatrixLieAlgebra, x) -> np.ndarray:
-    """The matrix sum_i x_i e_i."""
-    cx = check_coords(L, x)
-    if L.dim == 0:
-        return np.zeros((L.matrix_size, L.matrix_size))
-    return np.tensordot(cx, np.stack(L.basis), axes=1)
+    """The matrix sum_i x_i e_i, for each coordinate row of x."""
+    return np.tensordot(_coord_stack(L, x), L.basis, axes=1)
 
 
 def matrix_coords(L: MatrixLieAlgebra, m, tol: float = 1e-9) -> np.ndarray:
-    """Coordinates of a matrix in the algebra basis.
+    """Coordinates of each matrix of a stack in the algebra basis.
 
-    Least-squares expansion over flattened real and imaginary parts;
-    raises if the matrix is not in the span.
+    Applies the pseudo-inverse of the flattened basis to the flattened
+    real and imaginary parts; raises if any matrix is not in the span.
     """
     m = np.asarray(m)
-    if m.shape != (L.matrix_size, L.matrix_size):
+    if m.shape[-2:] != (L.matrix_size, L.matrix_size):
         raise DimensionMismatch(
-            f"expected a {L.matrix_size}x{L.matrix_size} matrix for {L.name}"
+            f"expected {L.matrix_size}x{L.matrix_size} matrices for {L.name}"
         )
-    v = _flatten(np.asarray(m, dtype=complex))
-    coef, *_ = np.linalg.lstsq(L.flat_basis, v, rcond=None)
-    resid = np.linalg.norm(L.flat_basis @ coef - v)
-    if resid > tol * max(1.0, np.linalg.norm(v)):
+    v = _flatten(m)
+    coef = v @ L.flat_pinv.T
+    resid = np.linalg.norm(coef @ L.flat_basis.T - v, axis=-1)
+    if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(v, axis=-1))):
         raise DimensionMismatch(f"matrix is not in the span of {L.name}")
     return coef
 
@@ -369,14 +386,10 @@ def identify_dual(L: MatrixLieAlgebra, x) -> Covector:
     are ``gram @ coords`` (see :func:`dual_basis_coords`).  Chart coordinates
     of the covector coincide with the element's coordinates.
     """
-    if abs(np.linalg.det(L.gram)) <= GRAM_DET_TOL:
-        raise DegenerateForm(f"trace form of {L.name} is singular")
     return Covector(L.name, check_coords(L, x).copy())
 
 
 def identify_dual_inverse(L: MatrixLieAlgebra, xi) -> AlgebraElement:
-    if abs(np.linalg.det(L.gram)) <= GRAM_DET_TOL:
-        raise DegenerateForm(f"trace form of {L.name} is singular")
     return AlgebraElement(L.name, check_coords(L, xi).copy())
 
 
@@ -392,9 +405,8 @@ def pairing(L: MatrixLieAlgebra, xi, y) -> float:
 
 
 def ad_matrix(L: MatrixLieAlgebra, x) -> np.ndarray:
-    """Matrix of ad_X acting on coordinates."""
-    cx = check_coords(L, x)
-    return np.einsum("ijk,i->kj", L.structure, cx)
+    """Matrix of ad_X acting on coordinates, for each coordinate row of x."""
+    return np.einsum("ijk,...i->...kj", L.structure, _coord_stack(L, x))
 
 
 def coadjoint_ad(L: MatrixLieAlgebra, x, xi) -> np.ndarray:
@@ -467,7 +479,7 @@ def _unit_rows(pts: np.ndarray):
 def _ad_tags(L: MatrixLieAlgebra, u: np.ndarray) -> list:
     """Tags of :func:`classify_element` for the unit rows u, all at once."""
     d = L.dim
-    A = np.einsum("ijk,ni->nkj", L.structure, u)
+    A = ad_matrix(L, u)
     nil = np.linalg.norm(np.linalg.matrix_power(A, d), axis=(1, 2)) < NILPOTENT_TOL
     eigs = np.sort(np.linalg.eigvals(A).astype(complex), axis=1)
     tol = EIG_TOL * np.maximum(1.0, np.max(np.abs(eigs), axis=1, initial=0.0))[:, None]

@@ -33,6 +33,7 @@ from .liealg import (
     ad_matrix,
     bracket,
     check_coords,
+    classify_element,
     coadjoint_ad,
     element_matrix,
     pairing,
@@ -287,8 +288,6 @@ def orbit_branch(L: MatrixLieAlgebra, param: OrbitParam) -> FamilyBranch:
         return FamilyBranch(label, _sl2_branch_sampler(param.kind, param.value))
     if param.kind == "point":
         base = check_coords(L, param.base)
-        from .liealg import classify_element
-
         conical = classify_element(L, base).tag in ("Nilpotent", "Zero")
         return FamilyBranch("point", _generic_branch_sampler(L, base, conical))
     raise UnsupportedAlgebra(

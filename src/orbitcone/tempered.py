@@ -243,10 +243,8 @@ def bk_weak_containment(E: SubalgebraEmbedding) -> BKCertificate:
         return BKCertificate("Contained", None, 0, tables)
     if k > MAX_SPLIT_DIM:
         raise DimensionTooLarge(f"split part has dim {k} > {MAX_SPLIT_DIM}")
-    mats_h = [ad_matrix(E.sub, y) for y in a_rows]
-    mats_g = [ad_matrix(E.ambient, y @ E.inclusion) for y in a_rows]
-    W_h = weights_of_action(mats_h)
-    W_g = weights_of_action(mats_g)
+    W_h = weights_of_action(ad_matrix(E.sub, a_rows))
+    W_g = weights_of_action(ad_matrix(E.ambient, a_rows @ E.inclusion))
     tables["sub_weights"] = [[list(w), m] for w, m in W_h.weights]
     tables["ambient_weights"] = [[list(w), m] for w, m in W_g.weights]
     if not (W_h.integral and W_g.integral):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from orbitcone import (
@@ -41,6 +42,12 @@ def test_classify_huge_point_is_hyperbolic(tmp_path):
     )
     assert code == 0
     assert rep["result"]["class"] == "Hyperbolic"
+
+
+def test_floats_that_round_to_zero_are_written_as_zero():
+    # rounding keeps the sign of noise: round(-1e-17, 12) is -0.0
+    out = cli._clean({"w": [-1e-17, np.float64(-4e-13), -0.0, -2.4e-12, 1.0]})
+    assert json.dumps(out) == '{"w": [0.0, 0.0, 0.0, -2e-12, 1.0]}'
 
 
 def test_report_bytes_are_deterministic(tmp_path):
@@ -127,6 +134,7 @@ def test_validation_errors_exit_2(tmp_path):
         ["restrict", "--pair", "su(2,1)|so(2,1)", "--cone", "HypClosure"],
         ["induce", "--pair", "so(2,2)|blocks[(2,2)]", "--sub-cone", "HypClosure"],
         ["induce", "--pair", "so(3,1)|blocks[(3,0),(0,1)]", "--sub-cone", "Nplus"],
+        ["dual", "--generators", ";"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -137,7 +145,8 @@ def test_validation_errors_exit_2(tmp_path):
          "tempered-radii", "classify-samples", "dual-angular-tol",
          "angular-tol-neg-inf-spaced", "radii-negative", "radii-huge",
          "radii-huge-union", "radii-zero", "scan-hyp-huge", "scan-ell-huge",
-         "restrict-quadric-su21", "induce-quadric-so22", "induce-quadric-so3"],
+         "restrict-quadric-su21", "induce-quadric-so22", "induce-quadric-so3",
+         "dual-no-generators"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, args):
     code, _, out = run(args, tmp_path)

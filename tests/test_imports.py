@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is used by that module."""
+"""Imports of the package modules: every top-level import is used, no
+private name crosses a module boundary, and no function imports."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,8 @@ import pytest
 
 import orbitcone
 
-MODULES = sorted(
-    p for p in Path(orbitcone.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(orbitcone.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +34,40 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def import_faults(source: str) -> list[str]:
+    """Private names imported from another package module, and imports
+    inside a function body."""
+    tree = ast.parse(source)
+    faults = [
+        f"private {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "orbitcone")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    faults += [
+        f"nested in {fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    return faults
+
+
+def test_import_faults_are_found():
+    src = (
+        "from .liealg import _flatten, build_algebra\n"
+        "from orbitcone.cli import _clean\n"
+        "from numpy import _private_ok\n"
+        "def f():\n    import os\n"
+    )
+    assert import_faults(src) == ["private _flatten", "private _clean", "nested in f"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_module_imports_no_private_name_and_nothing_inside_functions(path):
+    assert import_faults(path.read_text()) == []

@@ -295,6 +295,16 @@ def _block_pairs(draw):
 
 
 @settings(max_examples=40, deadline=None)
+@given(spec=_block_pairs())
+def test_block_inclusion_rows_are_unit_coordinate_vectors(spec):
+    # each so(a,b) basis matrix placed in its block is one so(p,q) basis matrix
+    E = pair_embedding(spec)
+    hit = np.argmax(np.abs(E.inclusion), axis=1)
+    assert len(set(hit)) == E.sub.dim
+    np.testing.assert_allclose(E.inclusion, np.eye(E.ambient.dim)[hit], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
 @given(spec=_block_pairs(), seed=st.integers(0, 2**32 - 1))
 def test_regular_signatures_match_centralizer_signatures(spec, seed):
     E = pair_embedding(spec)

@@ -54,6 +54,26 @@ def test_bracket_matches_matrix_commutator(algebra):
             )
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(CATALOG), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_maps_match_per_row_calls(name, n, seed):
+    L = build_algebra(name)
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((2, n, L.dim))
+    mats, ads = element_matrix(L, X), ad_matrix(L, X)
+    pairs = bracket(L, X[:, None], Y[None])
+    for i in range(n):
+        np.testing.assert_allclose(mats[i], element_matrix(L, X[i]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ads[i], ad_matrix(L, X[i]), rtol=0, atol=1e-12)
+        for j in range(n):
+            np.testing.assert_allclose(pairs[i, j], bracket(L, X[i], Y[j]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(matrix_coords(L, mats), X, rtol=0, atol=1e-12)
+    # one matrix off the span spoils the whole stack
+    mats[-1] = mats[-1] + rng.standard_normal(mats.shape[1:])
+    with pytest.raises(DimensionMismatch):
+        matrix_coords(L, mats)
+
+
 def test_sl2_bracket_values():
     L = build_algebra("sl2R")
     ex, ey, ez = np.eye(3)
