@@ -35,12 +35,7 @@ from .cones import (
     sampled_cone,
 )
 from .errors import BadPartition, UnsupportedAlgebra
-from .induction import (
-    SubalgebraEmbedding,
-    decomposability_obstructed,
-    pair_embedding,
-    restriction_class_counts,
-)
+from .induction import pair_embedding
 from .liealg import build_algebra, matrix_coords, random_group_words, sl2_casimir
 from .orbits import OrbitParam, orbit_branch, orbit_family, orbit_sum_sample, union_family
 
@@ -188,11 +183,6 @@ def golden_table(
 # SU(2,1) > SO(2,1): the quaternionic-type discrete series
 
 
-def su21_so21_pair() -> SubalgebraEmbedding:
-    """so(2,1) inside su(2,1) as the real matrices."""
-    return pair_embedding("pair(su(2,1), so(2,1))")
-
-
 def quaternionic_wf(budget: int = 40_000, seed: int = 0) -> ConeDescription:
     """The nilpotent cone of su(2,1), sampled.
 
@@ -225,22 +215,6 @@ def quaternionic_wf(budget: int = 40_000, seed: int = 0) -> ConeDescription:
     pool = pool[norms > 1e-9]
     dirs = pool / np.linalg.norm(pool, axis=1, keepdims=True)
     return sampled_cone(dedup_directions(dirs, RESOLUTION), g.name)
-
-
-def su21_branching_report(budget: int = 40_000, seed: int = 0) -> dict:
-    """Restriction of the quaternionic wave front set to the real form:
-    class coverage of q(N_G) and the decomposability obstruction."""
-    E = su21_so21_pair()
-    cone = quaternionic_wf(budget=budget, seed=seed)
-    counts = restriction_class_counts(E, cone, seed=seed)
-    return {
-        "pair": E.name,
-        "class_counts": counts,
-        "all_three_classes": all(
-            t in counts for t in ("Elliptic", "Hyperbolic", "Nilpotent")
-        ),
-        "obstructed": decomposability_obstructed(counts),
-    }
 
 
 # ---------------------------------------------------------------------------

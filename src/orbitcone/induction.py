@@ -26,7 +26,6 @@ from .cones import (
     ConeDescription,
     cone_directions,
     direction_cone,
-    polyhedral_cone,
 )
 from .errors import (
     BadPartition,
@@ -40,7 +39,6 @@ from .liealg import (
     ad_matrix,
     bracket,
     build_algebra,
-    check_coords,
     classify_batch,
     element_matrix,
     matrix_coords,
@@ -91,7 +89,7 @@ def make_embedding(
     comp = null_rows(inc @ ambient.gram)
     if comp.shape[0] != ambient.dim - sub.dim:
         raise DimensionMismatch("complement dimension mismatch (degenerate pair)")
-    stacked = np.vstack([inc, comp]) if comp.size else inc
+    stacked = np.vstack([inc, comp])
     if abs(np.linalg.det(stacked)) <= 1e-9:
         raise DimensionMismatch("sub and complement do not span the ambient")
     # pullback identity <q(xi), Y>_h = <xi, inc Y>_g on basis pairs:
@@ -164,7 +162,7 @@ def _matrix_span_embedding(
     return make_embedding(ambient, sub, matrix_coords(ambient, sub.basis), name)
 
 
-def diagonal_embedding(factor_spec: str = "sl2R") -> SubalgebraEmbedding:
+def diagonal_embedding(factor_spec: str) -> SubalgebraEmbedding:
     """X -> (X, X) into the two-factor product."""
     sub = build_algebra(factor_spec)
     ambient = build_algebra(f"prod({factor_spec},{factor_spec})")
@@ -204,25 +202,7 @@ def pair_embedding(spec: str) -> SubalgebraEmbedding:
 
 
 # ---------------------------------------------------------------------------
-# pullback, annihilator, induced and restricted cones
-
-
-def pullback_q(E: SubalgebraEmbedding, xi) -> np.ndarray:
-    """q(xi): coordinates over the sub algebra."""
-    return E.q @ check_coords(E.ambient, xi)
-
-
-def lift_covector(E: SubalgebraEmbedding, d) -> np.ndarray:
-    """A preimage of d under q (q(lift(d)) = d)."""
-    return E.lift @ check_coords(E.sub, d)
-
-
-def annihilator_cone(E: SubalgebraEmbedding) -> ConeDescription:
-    """The subspace {xi : q(xi) = 0}, as a polyhedral cone with +-
-    generators."""
-    comp = E.complement_q
-    gens = np.vstack([comp, -comp]) if comp.size else np.zeros((0, E.ambient.dim))
-    return polyhedral_cone(gens, algebra=E.ambient.name)
+# induced and restricted cones
 
 
 def induced_cone_samples(
@@ -329,11 +309,11 @@ class CartanClass:
     label: str
 
 
-def algebra_rank(L: MatrixLieAlgebra, seed: int = 0) -> int:
+def algebra_rank(L: MatrixLieAlgebra) -> int:
     """Generic centralizer dimension: min over random probes."""
     if L.dim == 0:
         return 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = L.dim
     for _ in range(8):
         x = rng.standard_normal(L.dim)
@@ -341,7 +321,7 @@ def algebra_rank(L: MatrixLieAlgebra, seed: int = 0) -> int:
     return best
 
 
-def cartan_signature(L: MatrixLieAlgebra, gens, seed: int = 0) -> tuple[int, int]:
+def cartan_signature(L: MatrixLieAlgebra, gens) -> tuple[int, int]:
     """(compact dim, split dim) of a commuting ad-diagonalizable span.
 
     Root functionals are read off the eigenvectors of a generic element:
@@ -349,7 +329,10 @@ def cartan_signature(L: MatrixLieAlgebra, gens, seed: int = 0) -> tuple[int, int
     it, split when every root takes a real value.  A span without roots
     is central; the weights of its defining matrices decide it the same
     way (the rotation of ``so(2,0)`` is compact, ``abelian(n)`` is split).
+    The empty span has signature (0, 0).
     """
+    if np.size(gens) == 0:
+        return (0, 0)
     g = np.atleast_2d(np.asarray(gens, dtype=float))
     k = len(g)
     scale = max(np.max(np.abs(g)), 1e-12)
@@ -357,10 +340,8 @@ def cartan_signature(L: MatrixLieAlgebra, gens, seed: int = 0) -> tuple[int, int
     bad = np.argwhere(np.triu(comm > 1e-9 * scale * scale, 1))
     if len(bad):
         raise NonCommuting(f"generators {bad[0][0]} and {bad[0][1]} do not commute")
-    if k == 0:
-        return (0, 0)
     ads = ad_matrix(L, g)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(16):
         combo = rng.standard_normal(k)
         a = np.tensordot(combo, ads, axes=1)

@@ -81,33 +81,13 @@ class MatrixLieAlgebra:
 
 
 @dataclass(frozen=True)
-class AlgebraElement:
-    algebra: str
-    coords: np.ndarray
-
-
-@dataclass(frozen=True)
-class Covector:
-    """Point of the (i-rescaled) dual, stored in transport-chart coordinates."""
-
-    algebra: str
-    coords: np.ndarray
-
-
-@dataclass(frozen=True)
 class ElementClass:
     tag: str  # Zero | Elliptic | Hyperbolic | Nilpotent | Mixed
     eigen_summary: tuple
 
 
-def _coords(x) -> np.ndarray:
-    if isinstance(x, (AlgebraElement, Covector)):
-        return np.asarray(x.coords, dtype=float)
-    return np.asarray(x, dtype=float)
-
-
 def check_coords(L: MatrixLieAlgebra, x) -> np.ndarray:
-    c = _coords(x)
+    c = np.asarray(x, dtype=float)
     if c.shape != (L.dim,):
         raise DimensionMismatch(
             f"expected {L.dim} coordinates for {L.name}, got shape {c.shape}"
@@ -117,7 +97,7 @@ def check_coords(L: MatrixLieAlgebra, x) -> np.ndarray:
 
 def _coord_stack(L: MatrixLieAlgebra, x) -> np.ndarray:
     """Coordinates over the last axis, any leading axes."""
-    c = _coords(x)
+    c = np.asarray(x, dtype=float)
     if c.shape[-1:] != (L.dim,):
         raise DimensionMismatch(
             f"expected {L.dim} coordinates for {L.name}, got shape {c.shape}"
@@ -379,28 +359,9 @@ def matrix_coords(L: MatrixLieAlgebra, m, tol: float = 1e-9) -> np.ndarray:
     return coef
 
 
-def identify_dual(L: MatrixLieAlgebra, x) -> Covector:
-    """Transport an algebra element to the dual via the trace form.
-
-    The resulting functional is ``Y -> Tr(X Y)``; its values on the basis
-    are ``gram @ coords`` (see :func:`dual_basis_coords`).  Chart coordinates
-    of the covector coincide with the element's coordinates.
-    """
-    return Covector(L.name, check_coords(L, x).copy())
-
-
-def identify_dual_inverse(L: MatrixLieAlgebra, xi) -> AlgebraElement:
-    return AlgebraElement(L.name, check_coords(L, xi).copy())
-
-
-def dual_basis_coords(L: MatrixLieAlgebra, xi) -> np.ndarray:
-    """Coordinates of a covector in the algebraic dual basis, i.e. its
-    pairing values against the basis elements."""
-    return L.gram @ check_coords(L, xi)
-
-
 def pairing(L: MatrixLieAlgebra, xi, y) -> float:
-    """Evaluate a covector on an algebra element: Tr(X_xi Y)."""
+    """Evaluate a covector on an algebra element: Tr(X_xi Y).  Its values
+    on the basis elements (its dual-basis coordinates) are ``L.gram @ xi``."""
     return float(check_coords(L, xi) @ L.gram @ check_coords(L, y))
 
 
@@ -416,18 +377,6 @@ def coadjoint_ad(L: MatrixLieAlgebra, x, xi) -> np.ndarray:
     coordinates it is -(ad_X)^T, the two agree through the gram matrix.
     """
     return ad_matrix(L, x) @ check_coords(L, xi)
-
-
-def group_orbit_step(L: MatrixLieAlgebra, steps, xi) -> np.ndarray:
-    """Apply Ad*(exp(s_1 X_1) ... exp(s_k X_k)) to a covector.
-
-    ``steps`` is a sequence of (X, s) pairs, applied left to right via dense
-    matrix exponentials of the chart action.
-    """
-    c = check_coords(L, xi).copy()
-    for x, s in steps:
-        c = expm(float(s) * ad_matrix(L, x)) @ c
-    return c
 
 
 def random_group_words(

@@ -43,6 +43,7 @@ from .liealg import (
 
 GOLDEN = 0.6180339887498949
 SL2_KINDS = ("hyp", "ell+", "ell-", "nil+", "nil-", "zero")
+SUM_RADIUS = 50.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +88,11 @@ def tangent_basis(L: MatrixLieAlgebra, xi) -> np.ndarray:
     if np.linalg.norm(c) <= 1e-12:
         raise ZeroPoint("tangent basis needs a nonzero point")
     cand = -ad_matrix(L, c).T  # row i = ad*_(e_i) xi
-    if L.dim == 0 or np.max(np.abs(cand)) < 1e-14:
+    if np.max(np.abs(cand)) < 1e-14:
         return np.zeros((0, L.dim))
     _, r, piv = qr(cand.T, pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > max(diag) * 1e-10)) if diag.size else 0
+    rank = int(np.sum(diag > max(diag) * 1e-10))
     rows = np.sort(piv[:rank])
     return cand[rows]
 
@@ -177,10 +178,6 @@ def density_ratio_F(L: MatrixLieAlgebra, xi) -> float:
         m[i] = etas @ coadjoint_ad(L, x_i, c)
     d = len(tb) // 2
     return float((2 * np.pi) ** d * np.sqrt(abs(np.linalg.det(m))))
-
-
-def orbit_dimension(L: MatrixLieAlgebra, xi) -> int:
-    return len(tangent_basis(L, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +379,14 @@ def orbit_sum_sample(
     p2: OrbitParam,
     count: int,
     seed: int = 0,
-    radius: float = 50.0,
 ) -> np.ndarray:
     """Pairwise sums of independent samples of two orbits.
 
-    The default radius keeps factor norms moderate: classification of sums
-    near the asymptotic boundary is numerically meaningless at very large
-    radii, and the catalog's sum-class statements hold at every radius.
+    The factors are drawn at radius SUM_RADIUS, which keeps their norms
+    moderate: classification of sums near the asymptotic boundary is
+    numerically meaningless at very large radii, and the catalog's
+    sum-class statements hold at every radius.
     """
-    a = orbit_sample(L, p1, count, seed=seed, radius=radius)
-    b = orbit_sample(L, p2, count, seed=seed + 1, radius=radius)
+    a = orbit_sample(L, p1, count, seed=seed, radius=SUM_RADIUS)
+    b = orbit_sample(L, p2, count, seed=seed + 1, radius=SUM_RADIUS)
     return a + b

@@ -146,9 +146,6 @@ def weights_of_action(mats, module_dim: int | None = None) -> WeightSystem:
             key = tuple(round(float(x), 9) for x in lam[col])
         groups[key] = groups.get(key, 0) + 1
     weights = tuple(sorted(groups.items()))
-    total = sum(m for _, m in weights)
-    if total != n:
-        raise NonCommuting("weight multiplicities do not sum to the module dim")
     for w, m in weights:
         if any(abs(x) > 0 for x in w):
             neg = tuple(-x for x in w)
@@ -157,19 +154,9 @@ def weights_of_action(mats, module_dim: int | None = None) -> WeightSystem:
     return WeightSystem(ambient_dim=k, weights=weights, integral=integral)
 
 
-def rho(W: WeightSystem, y) -> float:
-    """Sum of positive weight values, with multiplicity: the trace of the
-    action over its positive part at y."""
-    y = np.asarray(y, dtype=float)
-    out = 0.0
-    for w, m in W.weights:
-        v = float(np.dot(w, y))
-        if v > 0:
-            out += m * v
-    return out
-
-
 def rho_batch(W: WeightSystem, ys: np.ndarray) -> np.ndarray:
+    """rho at each row of ys: the sum of the positive weight values, with
+    multiplicity, i.e. the trace of the action over its positive part."""
     ys = np.asarray(ys, dtype=float)
     if not W.weights:
         return np.zeros(len(ys))

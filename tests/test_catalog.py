@@ -7,14 +7,16 @@ from orbitcone import (
     cone_equal,
     exact_cone,
     golden_table,
+    pair_embedding,
     quaternionic_wf,
     representation,
+    restriction_class_counts,
     sopq_family,
-    su21_branching_report,
     tensor_analysis,
     wavefront_of,
 )
 from orbitcone.errors import BadPartition, UnsupportedAlgebra
+from orbitcone.induction import decomposability_obstructed
 
 
 def test_label_forms_are_equivalent():
@@ -72,10 +74,10 @@ def test_quaternionic_cone_is_nilpotent():
 
 
 def test_su21_branching_all_three_classes():
-    rep = su21_branching_report(budget=30_000, seed=2)
-    assert rep["all_three_classes"]
-    assert rep["obstructed"]
-    assert set(rep["class_counts"]) >= {"Elliptic", "Hyperbolic", "Nilpotent"}
+    E = pair_embedding("pair(su(2,1), so(2,1))")
+    counts = restriction_class_counts(E, quaternionic_wf(budget=30_000, seed=2), seed=2)
+    assert set(counts) >= {"Elliptic", "Hyperbolic", "Nilpotent"}
+    assert decomposability_obstructed(counts)
 
 
 def test_tensor_same_sign_is_elliptic():

@@ -1,5 +1,6 @@
 """Imports of the package modules: every top-level import is used, no
-private name crosses a module boundary, and no function imports."""
+private name crosses a module boundary, no function imports, and the
+package exports exactly what its ``__init__`` imports."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,16 @@ def test_import_faults_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_module_imports_no_private_name_and_nothing_inside_functions(path):
     assert import_faults(path.read_text()) == []
+
+
+def test_all_lists_exactly_the_imported_names_sorted():
+    tree = ast.parse(Path(orbitcone.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert orbitcone.__all__ == sorted(orbitcone.__all__)
+    assert len(set(orbitcone.__all__)) == len(orbitcone.__all__)
+    assert set(orbitcone.__all__) == imported

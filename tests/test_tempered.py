@@ -8,7 +8,6 @@ from orbitcone import (
     build_algebra,
     make_embedding,
     pair_embedding,
-    rho,
     split_abelian,
     weights_of_action,
 )
@@ -48,9 +47,7 @@ def test_rho_examples():
     L = build_algebra("sl2R")
     W = weights_of_action(ad_action(L, np.array([[1.0, 0.0, 0.0]])))
     # sum of positive weights at y=1: only +2 contributes
-    assert rho(W, [1.0]) == pytest.approx(2.0)
-    assert rho(W, [-1.0]) == pytest.approx(2.0)
-    assert rho(W, [0.0]) == pytest.approx(0.0)
+    assert rho_batch(W, [[1.0], [-1.0], [0.0]]) == pytest.approx([2.0, 2.0, 0.0])
 
 
 def test_rho_homogeneous_and_convex():
@@ -60,11 +57,11 @@ def test_rho_homogeneous_and_convex():
     mats = [ad_matrix(E.ambient, r @ E.inclusion) for r in rows]
     W = weights_of_action(mats)
     rng = np.random.default_rng(3)
-    for _ in range(40):
-        y1, y2 = rng.standard_normal((2, len(rows)))
-        t = float(rng.uniform(0.1, 5.0))
-        assert rho(W, t * y1) == pytest.approx(t * rho(W, y1), rel=1e-10, abs=1e-10)
-        assert rho(W, y1 + y2) <= rho(W, y1) + rho(W, y2) + 1e-10
+    y1, y2 = rng.standard_normal((2, 40, len(rows)))
+    t = rng.uniform(0.1, 5.0, 40)
+    r1, r2 = rho_batch(W, y1), rho_batch(W, y2)
+    assert rho_batch(W, t[:, None] * y1) == pytest.approx(t * r1, rel=1e-10, abs=1e-10)
+    assert np.all(rho_batch(W, y1 + y2) <= r1 + r2 + 1e-10)
 
 
 def test_rho_batch_matches_scalar():
@@ -73,7 +70,9 @@ def test_rho_batch_matches_scalar():
     ys = np.random.default_rng(5).standard_normal((100, 1))
     vals = rho_batch(W, ys)
     for y, v in zip(ys, vals):
-        assert rho(W, y) == pytest.approx(float(v), rel=1e-12, abs=1e-12)
+        # the scalar definition: positive weight values, with multiplicity
+        want = sum(m * max(float(np.dot(w, y)), 0.0) for w, m in W.weights)
+        assert want == pytest.approx(float(v), rel=1e-12, abs=1e-12)
 
 
 def test_trivial_subgroup_contained():
@@ -179,10 +178,9 @@ def test_base_change_invariance():
     new_mats = [ad_matrix(E.ambient, r @ E.inclusion) for r in new_rows]
     W1 = weights_of_action(mats)
     W2 = weights_of_action(new_mats)
-    for _ in range(25):
-        y = rng.standard_normal(k)
-        # evaluating the transformed system at y equals the original at M^T y
-        assert rho(W2, y) == pytest.approx(rho(W1, M.T @ y), rel=1e-8, abs=1e-8)
+    ys = rng.standard_normal((25, k))
+    # evaluating the transformed system at y equals the original at M^T y
+    assert rho_batch(W2, ys) == pytest.approx(rho_batch(W1, ys @ M), rel=1e-8, abs=1e-8)
 
 
 def test_split_abelian_rejects_compact():
