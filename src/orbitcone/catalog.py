@@ -10,8 +10,7 @@ sums with the corresponding orbit unions.
 
 tensor_analysis classifies sums of two elliptic orbits by the exact sign
 of the quadric invariant, which decides discrete decomposability of the
-tensor product; sopq_family packages the block-diagonal pairs with the
-two closed-form arithmetic predicates.
+tensor product.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from .cones import (
     exact_cone,
     sampled_cone,
 )
-from .errors import BadPartition, UnsupportedAlgebra
-from .induction import pair_embedding
+from .errors import UnsupportedAlgebra
 from .liealg import build_algebra, matrix_coords, random_group_words, sl2_casimir
 from .orbits import OrbitParam, orbit_branch, orbit_family, orbit_sum_sample, union_family
 
@@ -266,34 +264,4 @@ def tensor_analysis(
         "classes": counts,
         "sum_cone_class": sum_class,
         "discretely_decomposable_obstructed": obstructed,
-    }
-
-
-# ---------------------------------------------------------------------------
-# SO(p,q) block families
-
-
-def sopq_family(p: int, q: int, blocks) -> dict:
-    """Block-diagonal pair inside so(p,q) with the paper's two arithmetic
-    predicates.
-
-    bk_condition: 2(p_i+q_i) <= p+q+2 whenever p_i q_i != 0.
-    saturation_condition: p+q > 2 and 2p_i <= p+1 and 2q_i <= q+1 for
-    every block.
-    """
-    blocks = [(int(a), int(b)) for a, b in blocks]
-    if sum(a for a, _ in blocks) != p or sum(b for _, b in blocks) != q:
-        raise BadPartition(f"blocks {blocks} are not a composition of ({p},{q})")
-    if p + q > 8:
-        raise BadPartition("the block catalog stops at p+q <= 8")
-    spec = f"pair(so({p},{q}), blocks[{','.join(f'({a},{b})' for a, b in blocks)}])"
-    embedding = pair_embedding(spec)
-    bk_cond = all(2 * (a + b) <= p + q + 2 for a, b in blocks if a * b != 0)
-    sat_cond = (p + q > 2) and all(
-        2 * a <= p + 1 and 2 * b <= q + 1 for a, b in blocks
-    )
-    return {
-        "embedding": embedding,
-        "bk_condition": bk_cond,
-        "saturation_condition": sat_cond,
     }

@@ -13,7 +13,9 @@ Each subcommand computes and returns its report sections and side tables;
 ``main`` builds the config section from the parsed options and writes
 every file.  Each parser takes only the options its subcommand reads:
 --seed, --out and --timings everywhere, --samples where something is
-sampled, --radii and --angular-tol only where they are used.
+sampled, --radii and --angular-tol only where they are used.  The parser is
+built once per process, on the first call to ``main``; parsing leaves it
+unchanged, so every call still parses its arguments afresh.
 
 Exit codes: 0 success, 2 validation error (bad options, bad numeric
 values, radii outside (0, MAX_RADIUS], unknown names, an --out under a
@@ -31,6 +33,7 @@ import json
 import re
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -415,6 +418,7 @@ def _cmd_measure_scan(args) -> _Run:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="orbitcone",

@@ -3,8 +3,7 @@
 A cone is one of three kinds.  ``exact`` cones are the named cones of the
 rank-one catalog: the quadric cones of the sl2 chart plus the generic Zero
 and Full.  One table gives each name its closed bands of the polar angle
-from +z; the angular distance to the cone is the distance to the nearest
-band and its direction grid is one latitude grid per band.  The quadric
+from +z, and its direction grid is one latitude grid per band.  The quadric
 names exist only on sl2-chart algebras.  ``polyhedral`` cones carry
 generator rays.
 ``sampled`` cones are finite sets of unit directions at the one angular
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -163,14 +161,6 @@ def direction_cone(points, algebra: str, dim: int) -> ConeDescription:
     return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
 
 
-def _exact_angular_distance(name: str, u: np.ndarray) -> float:
-    """Angular distance from a unit vector to a named cone: from its polar
-    angle to the nearest band, pi when there is none."""
-    phi = np.arctan2(np.linalg.norm(u[:-1]), u[-1])  # in [0, pi]
-    return float(min((max(0.0, lo - phi, phi - hi) for lo, hi in _EXACT_CONES[name][0]),
-                     default=np.pi))
-
-
 def _band_grid(phi_lo: float, phi_hi: float) -> np.ndarray:
     """Deterministic near-uniform grid on a latitude band of the 2-sphere;
     a single ring when the band is one latitude."""
@@ -212,33 +202,7 @@ def cone_directions(C: ConeDescription, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# membership, equality, union
-
-
-def cone_contains(C: ConeDescription, xi, tol: float | None = None) -> bool:
-    """Whether a point lies in the cone, up to an angular tolerance.
-
-    Zero always belongs.  Exact cones use closed-form angular distance to
-    the defining quadric set, polyhedral cones use nonnegative least
-    squares, sampled cones use distance to the stored direction set.
-    """
-    v = np.asarray(xi, dtype=float)
-    n = np.linalg.norm(v)
-    if n <= 1e-12:
-        return True
-    u = v / n
-    t = RESOLUTION if tol is None else tol
-    if C.kind == "exact":
-        return _exact_angular_distance(C.name, u) <= t
-    if C.kind == "polyhedral":
-        g = C.generators
-        if len(g) == 0:
-            return False
-        _, resid = nnls(g.T, u, maxiter=10 * max(g.shape))
-        return resid <= max(t, 1e-9)
-    if len(C.directions) == 0:
-        return False
-    return float(_min_angles_to(u[None, :], C.directions)[0]) <= t
+# equality, union
 
 
 def cone_equal(
@@ -342,7 +306,7 @@ def ac_union_check(
 
 
 # ---------------------------------------------------------------------------
-# duals and conic neighborhoods
+# duals
 
 
 def dual_cone(C: ConeDescription) -> ConeDescription:
@@ -395,27 +359,6 @@ def dual_cone(C: ConeDescription) -> ConeDescription:
     if not gens:
         gens = [np.zeros(d)]
     return polyhedral_cone(np.vstack([r[None, :] for r in gens]), C.algebra)
-
-
-def conic_neighborhood_contains(xi, delta: float, eta) -> bool:
-    """Whether eta lies in the conic delta-neighborhood of a unit vector xi.
-
-    The neighborhood is {eta : |xi - t eta| < delta for some t > 0}; the
-    infimum over t has the closed form sqrt(1 - (cos angle)^2) when eta
-    points into the half-space of xi, and 1 otherwise.
-    """
-    x = np.asarray(xi, dtype=float)
-    nx = np.linalg.norm(x)
-    if abs(nx - 1.0) > 1e-9:
-        x = x / nx  # tolerate non-normalized input
-    e = np.asarray(eta, dtype=float)
-    ne = np.linalg.norm(e)
-    if ne <= 1e-300:
-        dist = 1.0
-    else:
-        c = float(x @ e) / ne
-        dist = 1.0 if c <= 0 else float(np.sqrt(max(0.0, 1.0 - c * c)))
-    return dist < delta
 
 
 # ---------------------------------------------------------------------------

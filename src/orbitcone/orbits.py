@@ -35,10 +35,8 @@ from .liealg import (
     check_coords,
     classify_element,
     coadjoint_ad,
-    element_matrix,
     pairing,
     random_group_words,
-    sl2_casimir,
 )
 
 GOLDEN = 0.6180339887498949
@@ -60,21 +58,6 @@ class OrbitParam:
     kind: str
     value: float | None = None
     base: np.ndarray | None = None
-
-
-def orbit_invariants(L: MatrixLieAlgebra, xi) -> np.ndarray:
-    """Ad*-invariants separating orbits well enough for the catalog.
-
-    sl2-chart algebras return the Casimir x^2+y^2-z^2.  Other algebras
-    return the characteristic polynomial coefficients of the transported
-    matrix (real and imaginary parts, leading coefficient dropped).
-    """
-    c = check_coords(L, xi)
-    if L.chart == "sl2":
-        return np.array([sl2_casimir(c)])
-    m = element_matrix(L, c)
-    coeffs = np.poly(m)[1:]
-    return np.concatenate([coeffs.real, coeffs.imag])
 
 
 # ---------------------------------------------------------------------------

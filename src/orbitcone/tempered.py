@@ -6,8 +6,8 @@ trace of ad(Y) over its positive eigenspaces.  Both sides are piecewise
 linear over the fan cut out by the weight hyperplanes, so the global
 check reduces to finitely many candidate rays: the +- solutions of every
 (dim-1)-subset of hyperplanes of full rank, taken after quotienting the
-common lineality space.  The rays are enumerated over the rationals and
-scaled to primitive integer vectors, so the comparison on them is exact
+common lineality space.  The rays are enumerated as primitive integer
+vectors by fraction-free elimination, so the comparison on them is exact
 integer arithmetic.  This needs integral weights; for non-integral
 weights the test answers "Unknown".
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -167,29 +166,31 @@ def rho_batch(W: WeightSystem, ys: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra on weight rows
+# exact integer linear algebra on weight rows
 
 
-def _rref(rows):
-    """Reduced row echelon form over the rationals; returns (rref rows,
-    pivot column list)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan elimination over the integers; returns
+    (reduced rows, pivot column list).
+
+    Each column's pivot is the first remaining row that is nonzero there,
+    as in rational row reduction, and each reduced row is a nonzero
+    multiple of the rational reduced row; rows are kept primitive."""
+    m = [list(r) for r in rows]
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f:
+                row = [top[c] * a - f * b for a, b in zip(row, top)]
+                g = math.gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -197,27 +198,20 @@ def _rref(rows):
     return m[:r], pivots
 
 
-def _rational_nullspace(rows, ncols):
-    """Basis of {y : row . y = 0 for all rows}, exact."""
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in zip(rref, pivots):
-            v[pc] = -r[fc]
-        basis.append(v)
-    return basis
-
-
-def _primitive(v) -> np.ndarray:
-    """The primitive integer vector on the ray of a rational vector, as a
-    Python-int object array (positive scaling keeps every sign)."""
-    scale = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
-    g = math.gcd(*ints)
-    return np.array([x // g for x in ints], dtype=object)
+def _null_rays(ech, pivots, ncols):
+    """The null space of reduced rows: for each free column in turn, the
+    primitive integer vector on the ray of the rational basis vector that
+    is 1 there and 0 at the other free columns."""
+    scale = math.lcm(*(row[c] for row, c in zip(ech, pivots)))
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = scale
+        for row, c in zip(ech, pivots):
+            v[c] = -row[fc] * scale // row[c]
+        g = math.gcd(*v)
+        yield [a // g for a in v]
 
 
 def bk_weak_containment(E: SubalgebraEmbedding) -> BKCertificate:
@@ -239,14 +233,30 @@ def bk_weak_containment(E: SubalgebraEmbedding) -> BKCertificate:
     return _bk_rays(W_h, W_g, k, tables)
 
 
-def _bk_rays(W_h: WeightSystem, W_g: WeightSystem, k: int, tables: dict) -> BKCertificate:
-    """Compare 2 rho_h with rho_g on every candidate extreme ray.
+def _candidate_rays(planes, k: int) -> list:
+    """The candidate extreme rays of the fan cut out by the weight
+    hyperplanes, as primitive integer vectors.
 
-    The candidates are the +- null directions of every (d-1)-subset of
-    weight hyperplanes of full rank, d the rank of all weights (the
-    dimension modulo their common lineality); a linear function on a
-    polyhedral cone attains its sign extremes at such rays.  Each ray is
-    scaled to its primitive integer vector and all rays are evaluated at
+    For every (d-1)-subset of hyperplanes of full rank, d the rank of all
+    of them (the dimension modulo their common lineality), the first null
+    vector off the lineality and its negative; a linear function on a
+    polyhedral cone attains its sign extremes at such rays.
+    """
+    d = len(_echelon(planes)[1])
+    rays = []
+    for subset in combinations(planes, d - 1):
+        ech, pivots = _echelon(subset)
+        if len(pivots) != d - 1:  # subset not of full rank
+            continue
+        for y in _null_rays(ech, pivots, k):
+            if any(sum(a * b for a, b in zip(p, y)) for p in planes):
+                rays += [y, [-a for a in y]]
+                break
+    return rays
+
+
+def _bk_rays(W_h: WeightSystem, W_g: WeightSystem, k: int, tables: dict) -> BKCertificate:
+    """Compare 2 rho_h with rho_g on every candidate extreme ray, all at
     once in exact integer arithmetic.  The witness is the first ray with
     the largest gap.
     """
@@ -254,20 +264,7 @@ def _bk_rays(W_h: WeightSystem, W_g: WeightSystem, k: int, tables: dict) -> BKCe
     if not nonzero:
         return BKCertificate("Contained", None, 0, tables)
     # hyperplanes up to sign
-    planes = sorted({max(w, tuple(-x for x in w)) for w in nonzero})
-    P = np.array(planes, dtype=object)
-    d = len(_rref(planes)[1])
-    rays = []
-    for subset in combinations(planes, d - 1):
-        space = _rational_nullspace(subset, k)
-        if len(space) != k - d + 1:  # subset not of full rank
-            continue
-        # the common lineality plus one ray
-        for v in space:
-            y = _primitive(v)
-            if np.any(P @ y):
-                rays += [y, -y]
-                break
+    rays = _candidate_rays(sorted({max(w, tuple(-x for x in w)) for w in nonzero}), k)
     Y = np.array(rays, dtype=object)
     W = np.array([w for w, _ in W_h.weights + W_g.weights], dtype=object)
     n_h = len(W_h.weights)

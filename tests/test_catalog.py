@@ -3,6 +3,7 @@ import pytest
 
 from orbitcone import (
     GOLDEN_ROWS,
+    bk_weak_containment,
     build_algebra,
     cone_equal,
     exact_cone,
@@ -11,7 +12,6 @@ from orbitcone import (
     quaternionic_wf,
     representation,
     restriction_class_counts,
-    sopq_family,
     tensor_analysis,
     wavefront_of,
 )
@@ -95,21 +95,19 @@ def test_tensor_opposite_sign_hits_hyperbolic():
 
 
 def test_sopq_family_conditions():
-    fam = sopq_family(3, 1, [(1, 1), (2, 0)])
-    assert fam["bk_condition"] is True
-    assert fam["saturation_condition"] is True
+    # the block pairs of so(p,q) are pair_embedding specs; BK decides
+    # their temperedness exactly
+    E = pair_embedding("pair(so(3,1), blocks[(1,1),(2,0)])")
+    assert bk_weak_containment(E).verdict == "Contained"
     # one big mixed block: 2(p_i+q_i) = 8 > p+q+2 = 6
-    fam = sopq_family(3, 1, [(3, 1)])
-    assert fam["bk_condition"] is False
+    E = pair_embedding("pair(so(3,1), blocks[(3,1)])")
+    assert bk_weak_containment(E).verdict == "Violated"
     with pytest.raises(BadPartition):
-        sopq_family(3, 1, [(1, 1)])
-    with pytest.raises(BadPartition):
-        sopq_family(3, 1, [(2, 2)])
+        pair_embedding("pair(so(3,1), blocks[(2,2)])")
 
 
 def test_sopq_family_embedding_is_valid():
-    fam = sopq_family(4, 2, [(1, 1), (1, 1), (2, 0)])
-    E = fam["embedding"]
+    E = pair_embedding("pair(so(4,2), blocks[(1,1),(1,1),(2,0)])")
     assert E.ambient.name == "so(4,2)"
     lhs = E.q.T @ E.sub.gram
     rhs = E.ambient.gram @ E.inclusion.T

@@ -365,6 +365,38 @@ def test_each_parser_takes_only_the_options_it_reads():
     assert sum(len(_options(p) & shared) for p in parsers.values()) == 50
 
 
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_one_parser_serves_back_to_back_calls(tmp_path, capsys):
+    # the parser is built once per process; parsing must leave no state in
+    # it, whatever the previous call parsed, rejected or printed
+    assert cli.build_parser() is cli.build_parser()
+    tempered = ["tempered", "--pair", "so(3,1)|blocks[(1,1),(2,0)]"]
+    wave = ["--rep", "sigma_disc:3:+", "--samples", "500"]
+    calls = [
+        ("tempered", tempered, 0),
+        ("wavefront", ["wavefront", *wave], 0),
+        ("ac", ["ac", *wave], 0),
+        ("bad", ["tempered", "--pair", "sl2R|a", "--samples", "5"], 2),
+        ("help", ["--help"], 0),
+        ("again", tempered, 0),
+    ]
+    for sub, args, want in calls:
+        assert cli.main(args + ["--out", str(tmp_path / sub)]) == want, sub
+    streams = capsys.readouterr()
+    assert "unrecognized arguments: --samples 5" in streams.err
+    assert "usage: orbitcone" in streams.out
+    for sub in ("bad", "help"):
+        assert not (tmp_path / sub).exists()
+    assert _files(tmp_path / "again") == _files(tmp_path / "tempered")
+    # wavefront is ac under another name, down to the report bytes
+    assert _files(tmp_path / "wavefront") == _files(tmp_path / "ac")
+    report = json.loads((tmp_path / "wavefront" / "report.json").read_text())
+    assert report["config"]["command"] == "ac"
+
+
 # one cheap run of every subcommand, and the options it leaves unset (None)
 RUNS = {
     "classify": (["--algebra", "sl2R", "--point", "1,0,1"], set()),

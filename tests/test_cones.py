@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from orbitcone import (
     OrbitParam,
     ac_union_check,
     asymptotic_cone,
     build_algebra,
-    cone_contains,
     cone_directions,
     cone_equal,
     cone_union,
-    conic_neighborhood_contains,
     dual_cone,
     exact_cone,
     orbit_family,
@@ -23,9 +22,9 @@ from orbitcone import (
 from orbitcone.cones import (
     EXACT_NAMES,
     RESOLUTION,
+    _EXACT_CONES,
     FamilyBranch,
     PointFamily,
-    _exact_angular_distance,
     _min_angles_to,
     direction_cone,
 )
@@ -81,19 +80,47 @@ def test_radius_schedule_validated(sl2):
         asymptotic_cone(fam, radii=(10.0, 20.0))
 
 
+def _angle_to(C, point):
+    """Angle from the direction of a nonzero point to the nearest direction
+    of the cone's sample at RESOLUTION."""
+    dirs = direction_cone([point], C.algebra, C.dim).directions
+    return float(_min_angles_to(dirs, cone_directions(C))[0])
+
+
+def _band_distance(name, u):
+    """Closed-form angular distance from a unit vector to a named cone:
+    from its polar angle to the nearest band, pi when there is none."""
+    phi = np.arctan2(np.linalg.norm(u[:-1]), u[-1])  # in [0, pi]
+    return float(min((max(0.0, lo - phi, phi - hi) for lo, hi in _EXACT_CONES[name][0]),
+                     default=np.pi))
+
+
+def _in_polyhedral(C, v, tol=1e-7):
+    """Whether v lies in a polyhedral cone: the nonnegative least-squares
+    residual of its unit vector on the generators is at most tol."""
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    if n <= 1e-12:
+        return True
+    g = C.generators
+    _, resid = nnls(g.T, v / n, maxiter=10 * max(g.shape))
+    return resid <= max(tol, 1e-9)
+
+
 def test_membership_examples():
     N = exact_cone("N", "sl2R", 3)
-    assert cone_contains(N, [1.0, 0.0, 1.0])
-    assert cone_contains(N, [0.0, 0.0, 0.0])  # cones contain the origin
-    assert not cone_contains(N, [1.0, 0.0, 0.0])
+    assert _angle_to(N, [1.0, 0.0, 1.0]) <= RESOLUTION
+    # the origin has no direction: its direction cone is Zero
+    assert direction_cone([[0.0, 0.0, 0.0]], "sl2R", 3).name == "Zero"
+    assert _angle_to(N, [1.0, 0.0, 0.0]) > RESOLUTION
     hyp = exact_cone("HypClosure", "sl2R", 3)
-    assert cone_contains(hyp, [1.0, 0.0, 0.0])
-    assert cone_contains(hyp, [1.0, 0.0, 1.0])
-    assert not cone_contains(hyp, [0.0, 0.0, 1.0])
+    assert _angle_to(hyp, [1.0, 0.0, 0.0]) <= RESOLUTION
+    assert _angle_to(hyp, [1.0, 0.0, 1.0]) <= RESOLUTION
+    assert _angle_to(hyp, [0.0, 0.0, 1.0]) > RESOLUTION
     full = exact_cone("Full", "sl2R", 3)
-    assert cone_contains(full, [0.3, -2.0, 11.0])
+    assert _angle_to(full, [0.3, -2.0, 11.0]) <= RESOLUTION
     zero = exact_cone("Zero", "sl2R", 3)
-    assert not cone_contains(zero, [1e-3, 0.0, 0.0])
+    assert _angle_to(zero, [1e-3, 0.0, 0.0]) > RESOLUTION
 
 
 @pytest.mark.parametrize("name", EXACT_NAMES)
@@ -101,10 +128,10 @@ def test_named_cone_distance_matches_its_grid(name):
     C = exact_cone(name, "sl2R", 3)
     u = np.random.default_rng(8).standard_normal((2000, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    table = np.array([_exact_angular_distance(name, v) for v in u])
+    table = np.array([_band_distance(name, v) for v in u])
     assert np.max(np.abs(table - _min_angles_to(u, cone_directions(C)))) <= RESOLUTION
     grid = cone_directions(C)
-    assert all(_exact_angular_distance(name, d) <= 1e-12 for d in grid)
+    assert all(_band_distance(name, d) <= 1e-12 for d in grid)
 
 
 @pytest.mark.parametrize("name", EXACT_NAMES)
@@ -123,8 +150,8 @@ def test_membership_scale_invariance():
     Np = exact_cone("Nplus", "sl2R", 3)
     v = np.array([1.0, 0.0, 1.0])
     for t in (1e-4, 1.0, 1e6):
-        assert cone_contains(Np, t * v)
-    assert not cone_contains(Np, -v)
+        assert _angle_to(Np, t * v) <= RESOLUTION
+    assert _angle_to(Np, -v) > RESOLUTION
 
 
 def test_dual_cone_polar_convention():
@@ -199,9 +226,9 @@ def test_double_dual_is_the_cone(g):
     D2 = dual_cone(D1)
     assert np.max(g @ D1.generators.T) <= 1e-9
     for v in D2.generators:
-        assert cone_contains(C, v, tol=1e-7)
+        assert _in_polyhedral(C, v, tol=1e-7)
     for v in g:
-        assert cone_contains(D2, v, tol=1e-7)
+        assert _in_polyhedral(D2, v, tol=1e-7)
 
 
 def test_dual_requires_polyhedral():
@@ -230,20 +257,12 @@ def test_ac_union_lemma_on_random_families(sl2):
         assert ok, (trial, defect)
 
 
-def test_conic_neighborhood_oracle():
-    xi = np.array([1.0, 0.0, 0.0])
-    assert conic_neighborhood_contains(xi, 0.2, np.array([10.0, 0.5, 0.0]))
-    assert not conic_neighborhood_contains(xi, 0.2, np.array([0.0, 1.0, 0.0]))
-    # membership is scale free in the second argument
-    assert conic_neighborhood_contains(xi, 0.3, np.array([1.0, 0.1, 0.1]) * 1e5)
-
-
 def test_sampled_cone_roundtrip_through_directions():
     dirs = np.array([[0.0, 0.0, 1.0], [np.sqrt(0.5), 0.0, np.sqrt(0.5)]])
     C = sampled_cone(dirs, "sl2R")
-    assert cone_contains(C, [0.0, 0.0, 5.0])
-    assert cone_contains(C, [1.0, 0.0, 1.0])
-    assert not cone_contains(C, [0.0, 0.0, -5.0])
+    assert _angle_to(C, [0.0, 0.0, 5.0]) <= RESOLUTION
+    assert _angle_to(C, [1.0, 0.0, 1.0]) <= RESOLUTION
+    assert _angle_to(C, [0.0, 0.0, -5.0]) > RESOLUTION
 
 
 def test_empty_family_rejected(sl2):

@@ -1,8 +1,12 @@
 """Imports of the package modules: every top-level import is used, no
-private name crosses a module boundary, no function imports, and the
-package exports exactly what its ``__init__`` imports."""
+private name crosses a module boundary, no function imports, the
+package exports exactly what its ``__init__`` imports, and the CLI does
+not load ``scipy.optimize``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,12 @@ def test_all_lists_exactly_the_imported_names_sorted():
     assert orbitcone.__all__ == sorted(orbitcone.__all__)
     assert len(set(orbitcone.__all__)) == len(orbitcone.__all__)
     assert set(orbitcone.__all__) == imported
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # every CLI process pays for what importing orbitcone.cli loads
+    code = "import sys, orbitcone.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitcone.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"

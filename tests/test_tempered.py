@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from orbitcone import (
     weights_of_action,
 )
 from orbitcone.liealg import ad_matrix
-from orbitcone.tempered import WeightSystem, _bk_rays, rho_batch
+from orbitcone.tempered import WeightSystem, _bk_rays, _candidate_rays, rho_batch
 
 
 def ad_action(L, rows):
@@ -224,3 +226,68 @@ def test_bk_rays_agree_with_sphere_sampling(pair):
         assert w["two_rho_sub"] == pytest.approx(2 * rho_batch(Wh, y)[0], abs=1e-9)
         assert w["rho_ambient"] == pytest.approx(rho_batch(Wg, y)[0], abs=1e-9)
         assert w["two_rho_sub"] > w["rho_ambient"]
+
+
+@st.composite
+def weight_pairs_up_to_4(draw):
+    k = draw(st.integers(1, 4))
+    return k, draw(weight_systems(k)), draw(weight_systems(k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_pairs_up_to_4())
+def test_checked_rays_are_primitive_and_exact(pair):
+    k, Wh, Wg = pair
+    cert = _bk_rays(Wh, Wg, k, {})
+    nonzero = {w for w, _ in Wh.weights + Wg.weights if any(w)}
+    planes = sorted({max(w, tuple(-x for x in w)) for w in nonzero})
+    rays = _candidate_rays(planes, k) if planes else []
+    assert cert.rays_checked == len(rays)
+    if planes:
+        P = np.array(planes)
+        d = np.linalg.matrix_rank(P)
+        for y in rays:
+            assert len(y) == k and all(type(a) is int for a in y)
+            assert math.gcd(*y) == 1
+            # on d-1 independent weight hyperplanes, off their common kernel
+            on = P[P @ y == 0]
+            assert (np.linalg.matrix_rank(on) if len(on) else 0) == d - 1
+            assert np.any(P @ y)
+    ys = np.random.default_rng(0).standard_normal((4000, k))
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    sampled = np.max(2 * rho_batch(Wh, ys) - rho_batch(Wg, ys))
+    if cert.verdict == "Contained":
+        assert sampled <= 1e-9
+    else:
+        assert cert.verdict == "Violated"
+        y = np.array([cert.witness["ray"]])
+        assert (2 * rho_batch(Wh, y) - rho_batch(Wg, y))[0] > 0
+
+
+# (verdict, rays_checked, witness) of blocks pairs, as recorded before the
+# ray enumeration moved from rationals to fraction-free integer elimination
+BLOCKS_PINS = {
+    "so(2,2)|blocks[(2,2)]": (
+        "Violated", 4,
+        {"ray": [0.7071067811865475, 0.7071067811865475],
+         "two_rho_sub": 2.82842712474619, "rho_ambient": 1.414213562373095},
+    ),
+    "so(3,3)|blocks[(2,2),(1,1)]": ("Contained", 30, None),
+    "so(4,3)|blocks[(3,3),(1,0)]": (
+        "Violated", 72,
+        {"ray": [0.7071067811865475, 0.7071067811865475, 0.0],
+         "two_rho_sub": 8.48528137423857, "rho_ambient": 5.65685424949238},
+    ),
+    "so(4,4)|blocks[(1,1),(1,1),(1,1),(1,1)]": ("Contained", 408, None),
+    "so(4,4)|blocks[(3,3),(1,1)]": (
+        "Violated", 408,
+        {"ray": [1.0, 0.0, 0.0, 0.0], "two_rho_sub": 8.0, "rho_ambient": 6.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BLOCKS_PINS))
+def test_blocks_certificates_are_pinned(spec):
+    left, right = spec.split("|")
+    cert = bk_weak_containment(pair_embedding(f"pair({left}, {right})"))
+    assert (cert.verdict, cert.rays_checked, cert.witness) == BLOCKS_PINS[spec]
