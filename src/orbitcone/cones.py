@@ -135,29 +135,47 @@ def _min_angles_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def dedup_directions(dirs: np.ndarray, resolution: float) -> np.ndarray:
-    """Thin a direction set to roughly one representative per angular cell.
+    """Thin a direction set to one representative per grid cell.
 
-    Grid-hash on rounded coordinates: O(n), deterministic, keeps the first
-    hit in each cell.  Cell diameter is of the order of the resolution.
+    A cell is an axis-aligned cube of side ``resolution`` (rounded
+    coordinates); the first row in each cell is kept, in input order.  Above
+    dimension 3 almost every unit direction has a cell of its own.  Each row
+    of keys is packed into one int64 code (mixed radix over the column spans,
+    prefix codes re-ranked before they would pass 2**62, so the code stays
+    exact in any dimension), then one stable sort: O(n log n).  Rows must be
+    finite.
     """
     if len(dirs) == 0:
         return dirs
     keys = np.round(dirs / max(resolution, 1e-9)).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
+    keys -= keys.min(axis=0)
+    code = np.zeros(len(keys), dtype=np.int64)
+    top = 1
+    for col in keys.T:
+        span = int(col.max()) + 1
+        if top * span > 2**62:
+            _, code = np.unique(code, return_inverse=True)
+            top = int(code.max()) + 1
+        code = code * span + col
+        top *= span
+    _, idx = np.unique(code, return_index=True)
     return dirs[np.sort(idx)]
 
 
 def direction_cone(points, algebra: str, dim: int) -> ConeDescription:
     """The sampled cone of the directions of a point cloud.
 
-    Rows of norm at most 1e-9 carry no direction and are dropped; the rest
-    are normalized and thinned at ``RESOLUTION``.  The Zero cone when no
-    row is left."""
+    Rows of norm at most 1e-9 carry no direction, nor do rows whose norm is
+    not finite (an entry is inf or nan, or the norm overflows); they are
+    dropped.  The rest are normalized and thinned at ``RESOLUTION``.  The
+    Zero cone when no row is left."""
     pts = np.asarray(points, dtype=float)
-    pts = pts[np.linalg.norm(pts, axis=1) > 1e-9]
-    if len(pts) == 0:
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(pts, axis=1)
+    keep = np.isfinite(norms) & (norms > 1e-9)
+    if not keep.any():
         return exact_cone("Zero", algebra, dim)
-    dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    dirs = pts[keep] / norms[keep, None]
     return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
 
 

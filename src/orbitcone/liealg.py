@@ -385,20 +385,25 @@ def random_group_words(
     """Stack of ``count`` random Ad* transport matrices.
 
     Each word multiplies ``word_len`` exponentials of random unit generators
-    with step sizes uniform in (-scale, scale).
+    with step sizes uniform in (-scale, scale).  The draws are made word by
+    word; the exponentials are then taken one word position at a time, over
+    all words at once.  A generator of norm below 1e-12 is skipped: it draws
+    no step and its factor is expm(0) = I.
     """
     d = L.dim
-    out = np.empty((count, d, d))
+    gens = np.zeros((word_len, count, d))
+    steps = np.zeros((word_len, count))
     for k in range(count):
-        m = np.eye(d)
-        for _ in range(word_len):
+        for p in range(word_len):
             x = rng.standard_normal(d)
             nx = np.linalg.norm(x)
             if nx < 1e-12:
                 continue
-            s = rng.uniform(-scale, scale)
-            m = expm((s / nx) * ad_matrix(L, x)) @ m
-        out[k] = m
+            gens[p, k] = x
+            steps[p, k] = rng.uniform(-scale, scale) / nx
+    out = np.broadcast_to(np.eye(d), (count, d, d)).copy()
+    for x, f in zip(gens, steps):
+        out = expm(f[:, None, None] * ad_matrix(L, x)) @ out
     return out
 
 

@@ -50,6 +50,29 @@ def test_floats_that_round_to_zero_are_written_as_zero():
     assert json.dumps(out) == '{"w": [0.0, 0.0, 0.0, -2e-12, 1.0]}'
 
 
+def _csv_by_cells(path, header, rows):
+    """The per-cell csv.writer table writer the templated rows replaced, as
+    a reference."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{x:.12g}" for x in row])
+
+
+@pytest.mark.parametrize("header,rows", [
+    (["x", "y", "z"], np.array([[-0.0, 5e-324, 1e300], [1.0, 0.1 + 0.2, 123456789012.5]])),
+    (["x", "y", "z"], np.zeros((0, 3))),
+    (["norm", "F"], [(1.5, 2.0), (0.1 + 0.2, -1e-300)]),
+    (["norm", "F"], []),
+    (["a", "b", "c", "d"], np.random.default_rng(0).standard_normal((4097, 4))),  # 16 chunks + 1 row
+])
+def test_csv_rows_match_the_per_cell_writer(tmp_path, header, rows):
+    cli._write_csv(tmp_path / "new.csv", header, rows)
+    _csv_by_cells(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_report_bytes_are_deterministic(tmp_path):
     args = ["wavefront", "--rep", "sigma_limit:+", "--samples", "1500"]
     _, _, out1 = run(args, tmp_path, "a")

@@ -26,6 +26,7 @@ from orbitcone.cones import (
     FamilyBranch,
     PointFamily,
     _min_angles_to,
+    dedup_directions,
     direction_cone,
 )
 from orbitcone.errors import InsufficientRadii, UnsupportedAlgebra
@@ -345,3 +346,45 @@ def test_direction_cone_is_the_thinned_unit_directions(pts):
     # no two directions share a dedup_directions cell
     cells = np.round(dirs / RESOLUTION).astype(np.int64)
     assert len(np.unique(cells, axis=0)) == len(dirs)
+
+
+def _dedup_by_rows(dirs, resolution):
+    """The row-sorting dedup_directions that the packed codes replaced, as a
+    reference: first row of each distinct row of rounded keys."""
+    if len(dirs) == 0:
+        return dirs
+    keys = np.round(dirs / max(resolution, 1e-9)).astype(np.int64)
+    _, idx = np.unique(keys, axis=0, return_index=True)
+    return dirs[np.sort(idx)]
+
+
+@pytest.mark.parametrize("resolution", [RESOLUTION, RESOLUTION / 2])
+@pytest.mark.parametrize("dim", range(1, 29))
+def test_dedup_directions_matches_row_sort(dim, resolution):
+    # the +-e_i rows give every column its whole span, so the codes are
+    # re-ranked from dim 10 at RESOLUTION and dim 9 at RESOLUTION / 2
+    rng = np.random.default_rng(dim)
+    pts = rng.standard_normal((3000, dim))
+    dirs = np.vstack([np.eye(dim), -np.eye(dim), pts / np.linalg.norm(pts, axis=1, keepdims=True)])
+    dirs = np.vstack([dirs, dirs[rng.integers(0, len(dirs), 1000)]])
+    dirs = dirs[rng.permutation(len(dirs))]
+    assert np.array_equal(dedup_directions(dirs, resolution), _dedup_by_rows(dirs, resolution))
+    for few in (dirs[:0], dirs[:1]):
+        assert np.array_equal(dedup_directions(few, resolution), few)
+
+
+def test_dedup_directions_codes_stay_exact_past_64_bits():
+    # 28 columns of span 8 need 84 bits: without re-ranking, the first
+    # column's weight 8**27 wraps to 0 and the first two rows share a code
+    rows = np.zeros((3, 28))
+    rows[1, 0] = RESOLUTION
+    rows[2] = 7 * RESOLUTION
+    assert np.array_equal(dedup_directions(rows, RESOLUTION), rows)
+
+
+def test_direction_cone_drops_rows_without_a_finite_norm():
+    C = direction_cone([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]], "sl2R", 3)
+    assert np.array_equal(C.directions, [[1.0, 0.0, 0.0]])
+    C = direction_cone([[np.nan, 1.0, 0.0], [1e200, 1e200, 0.0], [0.0, 2.0, 0.0]], "sl2R", 3)
+    assert np.array_equal(C.directions, [[0.0, 1.0, 0.0]])
+    assert direction_cone([[-np.inf, 0.0, 0.0]], "sl2R", 3).name == "Zero"

@@ -160,6 +160,41 @@ def test_casimir_invariant_under_transport():
         assert np.allclose(np.poly(element_matrix(L, w @ xi)), inv0, atol=1e-8)
 
 
+def _words_one_by_one(L, count, rng, word_len=8, scale=1.0):
+    """The per-word loop that the stacked exponentials replaced, as a
+    reference."""
+    out = np.empty((count, L.dim, L.dim))
+    for k in range(count):
+        m = np.eye(L.dim)
+        for _ in range(word_len):
+            x = rng.standard_normal(L.dim)
+            nx = np.linalg.norm(x)
+            if nx < 1e-12:
+                continue
+            s = rng.uniform(-scale, scale)
+            m = expm((s / nx) * ad_matrix(L, x)) @ m
+        out[k] = m
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl2R", "su(2,1)", "so(6,2)"])
+@pytest.mark.parametrize("seed,count,word_len,scale", [(0, 37, 8, 1.0), (11, 5, 3, 0.3)])
+def test_group_words_equal_the_per_word_loop(name, seed, count, word_len, scale):
+    L = build_algebra(name)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    words = random_group_words(L, count, rng, word_len=word_len, scale=scale)
+    assert np.array_equal(words, _words_one_by_one(L, count, ref, word_len, scale))
+    # both drew the same stream
+    assert rng.random() == ref.random()
+
+
+def test_group_words_of_no_word_and_of_empty_words():
+    L = build_algebra("su(2,1)")
+    rng = np.random.default_rng(0)
+    assert random_group_words(L, 0, rng).shape == (0, 8, 8)
+    assert np.array_equal(random_group_words(L, 3, rng, word_len=0), np.broadcast_to(np.eye(8), (3, 8, 8)))
+
+
 def test_classify_examples():
     L = build_algebra("sl2R")
     assert classify_element(L, [1.0, 0.0, 1.0]).tag == "Nilpotent"
