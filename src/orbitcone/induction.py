@@ -114,15 +114,21 @@ def make_embedding(
 # embedding constructors
 
 
+_BLOCK = r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*"
+
+
 def _blocks_partition(spec: str):
-    body = spec.strip()
-    m = re.fullmatch(r"blocks\[(.*)\]", body)
+    """The blocks (p_i, q_i) of "blocks[(p_1,q_1),...]": the whole body must
+    be a comma-separated list of pairs, each with p_i + q_i >= 1."""
+    m = re.fullmatch(r"blocks\[(.*)\]", spec.strip())
     if not m:
         raise UnsupportedAlgebra(f"not a blocks spec: {spec!r}")
-    pairs = re.findall(r"\((\d+)\s*,\s*(\d+)\)", m.group(1))
-    if not pairs:
-        raise BadPartition("blocks spec lists no (p_i,q_i) pairs")
-    return [(int(a), int(b)) for a, b in pairs]
+    if not re.fullmatch(f"{_BLOCK}(,{_BLOCK})*", m.group(1)):
+        raise BadPartition(f"{spec!r} is not a comma-separated list of (p_i,q_i)")
+    pairs = [(int(a), int(b)) for a, b in re.findall(_BLOCK, m.group(1))]
+    if (0, 0) in pairs:
+        raise BadPartition(f"{spec!r} has an empty block (0,0)")
+    return pairs
 
 
 def _so_blocks_embedding(p: int, q: int, parts) -> SubalgebraEmbedding:

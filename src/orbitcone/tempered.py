@@ -10,6 +10,11 @@ common lineality space.  The rays are enumerated as primitive integer
 vectors by fraction-free elimination, so the comparison on them is exact
 integer arithmetic.  This needs integral weights; for non-integral
 weights the test answers "Unknown".
+
+The weights come from symmetric matrices: the split rows are Hermitian
+matrices on both sides of a Cartan-compatible (theta-stable) pair, so
+each ad(Y) is self-adjoint for Re Tr(X Z*) and symmetric in an
+orthonormal frame of that form.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonCommuting, UnsupportedAlgebra
 from .induction import SubalgebraEmbedding
-from .liealg import ad_matrix, null_rows
+from .liealg import MatrixLieAlgebra, ad_matrix, element_matrix
 
 COMMUTE_TOL = 1e-9
 INT_SNAP_TOL = 1e-6
@@ -52,87 +57,79 @@ class BKCertificate:
 
 
 def split_abelian(E: SubalgebraEmbedding) -> np.ndarray:
-    """Basis rows of a maximal split abelian subspace of the sub algebra,
-    verified to act real-diagonalizably."""
+    """Basis rows of a maximal split abelian subspace of the sub algebra.
+
+    The rows must be Hermitian matrices in the sub and in the ambient, as
+    on every Cartan-compatible (theta-stable) pair: then each ad(Y) is
+    self-adjoint for Re Tr(X Z*), hence real-diagonalizable.  Otherwise
+    UnsupportedAlgebra is raised.
+    """
     h = E.sub
     rows = np.asarray(h.split_coords, dtype=float)
-    if rows.size == 0 or rows.shape[0] == 0:
+    if rows.shape[0] == 0:
         return np.zeros((0, h.dim))
-    rng = np.random.default_rng(7)
-    combo = rng.standard_normal(rows.shape[0]) @ rows
-    a = ad_matrix(h, combo)
-    vals, vecs = np.linalg.eig(a)
-    scale = max(1.0, np.max(np.abs(vals)))
-    if np.max(np.abs(vals.imag)) > COMMUTE_TOL * scale:
-        raise UnsupportedAlgebra(f"split part of {h.name} has complex spectrum")
-    recon = (vecs * vals) @ np.linalg.inv(vecs)
-    if np.max(np.abs(recon - a)) > COMMUTE_TOL * scale:
-        raise UnsupportedAlgebra(f"split part of {h.name} is not diagonalizable")
+    for L, x in ((h, rows), (E.ambient, rows @ E.inclusion)):
+        m = element_matrix(L, x)
+        scale = max(1.0, np.max(np.abs(m)))
+        if np.max(np.abs(m - np.conj(np.swapaxes(m, 1, 2)))) > COMMUTE_TOL * scale:
+            raise UnsupportedAlgebra(f"split part of {h.name} is not Hermitian in {L.name}")
     return rows
 
 
-def weights_of_action(mats, module_dim: int | None = None) -> WeightSystem:
-    """Simultaneous eigen-decomposition of commuting real matrices.
+def _orthonormal_ad(L: MatrixLieAlgebra, rows: np.ndarray) -> np.ndarray:
+    """ad of each row in an orthonormal frame of Re Tr(X Z*) on L."""
+    R = np.linalg.cholesky(L.flat_basis.T @ L.flat_basis).T
+    return R @ ad_matrix(L, rows) @ np.linalg.inv(R)
 
-    Returns the joint weights with multiplicities; eigenvalues within
-    1e-6 of an integer are snapped so downstream checks can run exactly.
-    An empty acting space carries the single zero weight with the module's
-    full multiplicity.
+
+def weights_of_action(mats, module_dim: int | None = None) -> WeightSystem:
+    """Joint eigenvalues of commuting symmetric real matrices.
+
+    The matrices are ad(Y) of split elements written in an orthonormal
+    frame (see ``split_abelian``); a non-symmetric input raises
+    UnsupportedAlgebra.  One symmetric eigendecomposition of a generic
+    combination gives an orthonormal eigenbasis; each generator must act
+    as a scalar on each of its eigenspaces.  Returns the joint weights
+    with multiplicities; eigenvalues within 1e-6 of an integer are
+    snapped so downstream checks can run exactly.  An empty acting space
+    carries the single zero weight with the module's full multiplicity.
     """
-    mats = [np.asarray(m, dtype=float) for m in mats]
+    mats = np.asarray(mats, dtype=float)
     k = len(mats)
     if k == 0:
         if module_dim is None:
             raise UnsupportedAlgebra("empty action needs an explicit module_dim")
         return WeightSystem(0, (((), module_dim),), True)
-    n = mats[0].shape[0]
-    scale = max(1.0, *(np.max(np.abs(m)) for m in mats))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > COMMUTE_TOL * scale * scale:
-                raise NonCommuting(f"action matrices {i} and {j} do not commute")
+    n = mats.shape[1]
+    scale = max(1.0, np.max(np.abs(mats)))
+    if np.max(np.abs(mats - np.swapaxes(mats, 1, 2))) > COMMUTE_TOL * scale:
+        raise UnsupportedAlgebra("action matrices are not symmetric")
+    comm = mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
+    tol = COMMUTE_TOL * scale * scale
+    bad = np.argwhere(np.triu(np.max(np.abs(comm), axis=(2, 3)) > tol, 1))
+    if len(bad):
+        i, j = bad[0]
+        raise NonCommuting(f"action matrices {i} and {j} do not commute")
     rng = np.random.default_rng(11)
-    lam_rows: list[np.ndarray] = []
-    mults: list[int] = []
     for _ in range(8):
-        combo = rng.standard_normal(k)
-        t = np.tensordot(combo, np.stack(mats), axes=1)
-        vals = np.linalg.eigvals(t)
-        if np.max(np.abs(vals.imag)) > 1e-7 * scale:
-            continue
-        # eigenvalues are reliable even when LAPACK's eigenvectors for a
-        # degenerate spectrum are not; recover each eigenspace as an SVD
-        # null space and read the generators' scalars off the restriction
-        centers: list[float] = []
-        for v in np.sort(vals.real):
-            if not centers or abs(v - centers[-1]) > 1e-6 * scale:
-                centers.append(float(v))
-        lam_rows, mults = [], []
-        ok = True
-        for c in centers:
-            V = null_rows(t - c * np.eye(n), rtol=1e-7, floor=scale).T
-            mult = V.shape[1]
-            if mult == 0:
-                ok = False
-                break
-            row = np.empty(k)
-            for i in range(k):
-                B = mats[i] @ V
-                row[i] = float(np.trace(V.T @ B) / mult)
-                # a generic combo separates weights, so each generator
-                # must act as a scalar on the whole eigenspace
-                if np.linalg.norm(B - row[i] * V) > 1e-6 * scale * np.sqrt(mult):
-                    ok = False
-                    break
-            if not ok:
-                break
-            lam_rows.append(row)
-            mults.append(mult)
-        if ok and sum(mults) == n:
+        vals, U = np.linalg.eigh(np.tensordot(rng.standard_normal(k), mats, axes=1))
+        # a cluster starts more than 1e-6 * scale above its first value
+        starts = [0]
+        for i in range(1, n):
+            if vals[i] - vals[starts[-1]] > 1e-6 * scale:
+                starts.append(i)
+        mults = np.diff(starts + [n])
+        B = U.T @ mats @ U
+        lam = np.add.reduceat(np.diagonal(B, axis1=1, axis2=2), starts, axis=1) / mults
+        # a generic combo separates weights, so each generator must act as
+        # a scalar on the whole eigenspace
+        off = B - np.repeat(lam, mults, axis=1)[:, None, :] * np.eye(n)
+        err = np.sqrt(np.add.reduceat(np.sum(off * off, axis=1), starts, axis=1))
+        if np.all(err <= 1e-6 * scale * np.sqrt(mults)):
             break
     else:
         raise NonCommuting("no generic combination separated the weights")
-    lam = np.repeat(np.array(lam_rows), mults, axis=0)
+    lam = np.repeat(lam.T, mults, axis=0)
     snapped = np.round(lam)
     integral = bool(np.max(np.abs(lam - snapped)) <= INT_SNAP_TOL)
     if integral:
@@ -224,8 +221,8 @@ def bk_weak_containment(E: SubalgebraEmbedding) -> BKCertificate:
         return BKCertificate("Contained", None, 0, tables)
     if k > MAX_SPLIT_DIM:
         raise DimensionTooLarge(f"split part has dim {k} > {MAX_SPLIT_DIM}")
-    W_h = weights_of_action(ad_matrix(E.sub, a_rows))
-    W_g = weights_of_action(ad_matrix(E.ambient, a_rows @ E.inclusion))
+    W_h = weights_of_action(_orthonormal_ad(E.sub, a_rows))
+    W_g = weights_of_action(_orthonormal_ad(E.ambient, a_rows @ E.inclusion))
     tables["sub_weights"] = [[list(w), m] for w, m in W_h.weights]
     tables["ambient_weights"] = [[list(w), m] for w, m in W_g.weights]
     if not (W_h.integral and W_g.integral):

@@ -158,6 +158,11 @@ def test_validation_errors_exit_2(tmp_path):
         ["induce", "--pair", "so(2,2)|blocks[(2,2)]", "--sub-cone", "HypClosure"],
         ["induce", "--pair", "so(3,1)|blocks[(3,0),(0,1)]", "--sub-cone", "Nplus"],
         ["dual", "--generators", ";"],
+        # blocks specs whose body is not a list of nonempty (p_i,q_i) blocks
+        ["tempered", "--pair", "so(3,1)|blocks[(2,1),foo]"],
+        ["tempered", "--pair", "so(3,1)|blocks[(2,1)(1,0)]"],
+        ["tempered", "--pair", "so(3,1)|blocks[(2,1),(1,0),]"],
+        ["tempered", "--pair", "so(3,1)|blocks[(0,0),(2,1)]"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -169,7 +174,8 @@ def test_validation_errors_exit_2(tmp_path):
          "angular-tol-neg-inf-spaced", "radii-negative", "radii-huge",
          "radii-huge-union", "radii-zero", "scan-hyp-huge", "scan-ell-huge",
          "restrict-quadric-su21", "induce-quadric-so22", "induce-quadric-so3",
-         "dual-no-generators"],
+         "dual-no-generators", "blocks-junk", "blocks-missing-comma",
+         "blocks-trailing-comma", "blocks-empty-block"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, args):
     code, _, out = run(args, tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from orbitcone import (
     bk_weak_containment,
@@ -13,8 +14,16 @@ from orbitcone import (
     split_abelian,
     weights_of_action,
 )
-from orbitcone.liealg import ad_matrix
-from orbitcone.tempered import WeightSystem, _bk_rays, _candidate_rays, rho_batch
+from orbitcone.errors import NonCommuting, UnsupportedAlgebra
+from orbitcone.liealg import ad_matrix, matrix_coords, null_rows
+from orbitcone.tempered import (
+    INT_SNAP_TOL,
+    WeightSystem,
+    _bk_rays,
+    _candidate_rays,
+    _orthonormal_ad,
+    rho_batch,
+)
 
 
 def ad_action(L, rows):
@@ -291,3 +300,192 @@ def test_blocks_certificates_are_pinned(spec):
     left, right = spec.split("|")
     cert = bk_weak_containment(pair_embedding(f"pair({left}, {right})"))
     assert (cert.verdict, cert.rays_checked, cert.witness) == BLOCKS_PINS[spec]
+
+
+def _reference_weights(mats):
+    """The per-eigenspace weights: each eigenvalue of a generic combination
+    is clustered, its eigenspace recovered as an SVD null space, and each
+    generator's scalar read off the restriction.  Takes any commuting
+    real-diagonalizable matrices, symmetric or not."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    k = len(mats)
+    n = mats[0].shape[0]
+    scale = max(1.0, *(np.max(np.abs(m)) for m in mats))
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        t = np.tensordot(rng.standard_normal(k), np.stack(mats), axes=1)
+        vals = np.linalg.eigvals(t)
+        if np.max(np.abs(vals.imag)) > 1e-7 * scale:
+            continue
+        centers = []
+        for v in np.sort(vals.real):
+            if not centers or abs(v - centers[-1]) > 1e-6 * scale:
+                centers.append(float(v))
+        lam_rows, mults = [], []
+        ok = True
+        for c in centers:
+            V = null_rows(t - c * np.eye(n), rtol=1e-7, floor=scale).T
+            mult = V.shape[1]
+            if mult == 0:
+                ok = False
+                break
+            row = np.empty(k)
+            for i in range(k):
+                B = mats[i] @ V
+                row[i] = float(np.trace(V.T @ B) / mult)
+                if np.linalg.norm(B - row[i] * V) > 1e-6 * scale * np.sqrt(mult):
+                    ok = False
+                    break
+            if not ok:
+                break
+            lam_rows.append(row)
+            mults.append(mult)
+        if ok and sum(mults) == n:
+            break
+    else:
+        raise NonCommuting("no generic combination separated the weights")
+    lam = np.repeat(np.array(lam_rows), mults, axis=0)
+    snapped = np.round(lam)
+    integral = bool(np.max(np.abs(lam - snapped)) <= INT_SNAP_TOL)
+    if integral:
+        lam = snapped
+    groups: dict = {}
+    for col in range(n):
+        if integral:
+            key = tuple(int(x) for x in lam[col])
+        else:
+            key = tuple(round(float(x), 9) for x in lam[col])
+        groups[key] = groups.get(key, 0) + 1
+    return WeightSystem(k, tuple(sorted(groups.items())), integral)
+
+
+def _same_weights(a: WeightSystem, b: WeightSystem) -> bool:
+    return (a.ambient_dim, a.weights, a.integral) == (b.ambient_dim, b.weights, b.integral)
+
+
+def _compositions(p, q, cap=None):
+    """Multisets of blocks (a, b), a + b >= 1, summing to (p, q), largest
+    block first."""
+    if p == q == 0:
+        yield []
+        return
+    for a in range(p, -1, -1):
+        for b in range(q, -1, -1):
+            if a + b >= 1 and (cap is None or (a, b) <= cap):
+                for rest in _compositions(p - a, q - b, (a, b)):
+                    yield [(a, b), *rest]
+
+
+# every so(p,q) block pair of the benchmark's blocks workload (p >= q,
+# p + q <= 8, some block of size >= 2), and the catalog pairs
+BLOCKS_SPECS = [
+    "pair(so(%d,%d), blocks[%s])" % (p, n - p, ",".join(f"({a},{b})" for a, b in blocks))
+    for n in range(2, 9)
+    for p in range(n, (n - 1) // 2, -1)
+    for blocks in _compositions(p, n - p)
+    if any(a + b >= 2 for a, b in blocks)
+]
+CATALOG_SPECS = [
+    "pair(su(2,1), so(2,1))", "pair(su(2,1), su(2,1))", "diag(sl2R)", "diag(so(3,2))",
+    "pair(sl2R, a)", "pair(abelian(2), abelian(2))", "pair(so(6,4), blocks[(6,4)])",
+    "pair(so(7,3), blocks[(4,1),(3,2)])",
+]
+
+
+def test_weights_equal_the_per_eigenspace_reference():
+    assert len(set(BLOCKS_SPECS)) == 633
+    embeddings = [pair_embedding(s) for s in BLOCKS_SPECS + CATALOG_SPECS]
+    embeddings.append(make_embedding(build_algebra("sl2R"), build_algebra("a"), [[0.3, 0, 0]]))
+    n_split = 0
+    for E in embeddings:
+        rows = split_abelian(E)
+        if len(rows) == 0:
+            continue
+        n_split += 1
+        for L, x in ((E.sub, rows), (E.ambient, rows @ E.inclusion)):
+            want = _reference_weights(ad_matrix(L, x))
+            got = weights_of_action(_orthonormal_ad(L, x))
+            assert _same_weights(got, want), (E.name, L.name)
+    assert n_split == 421 + 9  # blocks pairs with a split part, catalog pairs
+
+
+@st.composite
+def rotated_weight_systems(draw):
+    """(Q, lam, W): a random integral weight system W, closed under
+    negation, its weights repeated by multiplicity as the rows of lam, and
+    a random orthogonal Q; generator i acts as Q diag(lam[:, i]) Q^T."""
+    k = draw(st.integers(1, 4))
+    W = draw(weight_systems(k))
+    lam = np.repeat(np.array([w for w, _ in W.weights], dtype=float),
+                    [m for _, m in W.weights], axis=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
+    return Q, lam, W
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotated_weight_systems())
+def test_weights_of_rotated_diagonal_action_come_back_exactly(drawn):
+    Q, lam, W = drawn
+    got = weights_of_action([(Q * col) @ Q.T for col in lam.T])
+    assert _same_weights(got, W)
+    # a non-integral multiple of the same system
+    got = weights_of_action([(Q * (0.37 * col)) @ Q.T for col in lam.T])
+    want = {}
+    for w, m in W.weights:
+        key = tuple(round(0.37 * x, 9) for x in w)
+        want[key] = want.get(key, 0) + m
+    assert got.weights == tuple(sorted(want.items()))
+    assert got.integral == (not any(any(w) for w, _ in W.weights))
+
+
+def test_combination_that_merges_weights_is_passed_over():
+    # the first combination c drawn from default_rng(11) sends the weights
+    # +-(c_2, -c_1) and 0 to one eigenvalue; the generators are not scalar
+    # there, so the next combination must be used
+    c = np.random.default_rng(11).standard_normal(2)
+    lam = np.array([[c[1], -c[0]], [-c[1], c[0]], [0.0, 0.0]])
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    got = weights_of_action([(Q * col) @ Q.T for col in lam.T])
+    assert [m for _, m in got.weights] == [1, 1, 1] and not got.integral
+    assert np.allclose([w for w, _ in got.weights], sorted(map(tuple, lam)), atol=1e-9)
+
+
+def test_non_symmetric_action_is_unsupported():
+    with pytest.raises(UnsupportedAlgebra, match="not symmetric"):
+        weights_of_action([np.array([[1.0, 1.0], [0.0, -1.0]])])
+
+
+def test_non_commuting_pair_is_named():
+    h = np.diag([1.0, -1.0, 0.0])
+    s = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(NonCommuting, match="matrices 0 and 1 "):
+        weights_of_action([h, s, np.eye(3)])
+    with pytest.raises(NonCommuting, match="matrices 1 and 2 "):
+        weights_of_action([np.eye(3), h, s])
+
+
+def test_conjugated_split_part_is_unsupported():
+    # Ad(exp n) moves the split line off the Hermitian matrices of sl2R:
+    # the pair is not Cartan-compatible, so BK does not apply
+    L = build_algebra("sl2R")
+    g = expm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    E = make_embedding(L, L, matrix_coords(L, g @ L.basis @ np.linalg.inv(g)))
+    with pytest.raises(UnsupportedAlgebra, match="not Hermitian"):
+        split_abelian(E)
+    with pytest.raises(UnsupportedAlgebra, match="not Hermitian"):
+        bk_weak_containment(E)
+
+
+def test_su21_so21_certificate_is_pinned():
+    # su(2,1) is the one catalog algebra whose basis is not orthonormal
+    # for Re Tr(X Z*) (d1 and d2 overlap); values as recorded with the
+    # per-eigenspace weights
+    cert = bk_weak_containment(pair_embedding("pair(su(2,1), so(2,1))"))
+    assert (cert.verdict, cert.rays_checked, cert.witness) == ("Contained", 2, None)
+    assert cert.weight_tables == {
+        "split_dim": 1,
+        "sub_weights": [[[-1], 1], [[0], 1], [[1], 1]],
+        "ambient_weights": [[[-2], 1], [[-1], 2], [[0], 2], [[1], 2], [[2], 1]],
+        "rays": 2,
+    }
