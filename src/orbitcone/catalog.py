@@ -88,7 +88,7 @@ def representation(label: str) -> RepresentationSpec:
             raise UnsupportedAlgebra("discrete series need n >= 1")
         fam = orbit_family(L, [OrbitParam("sl2R", f"ell{sign}", float(n))])
         return RepresentationSpec(f"sigma_disc({n},{sign})", fam)
-    m = re.fullmatch(r"sigma_hyp\(([\d.]+)\s*,\s*(\+|-|\+-)\)", s)
+    m = re.fullmatch(r"sigma_hyp\((\d+\.?\d*|\.\d+)\s*,\s*(\+|-|\+-)\)", s)
     if m:
         nu = float(m.group(1))
         if nu == 0:

@@ -20,9 +20,8 @@ unchanged, so every call still parses its arguments afresh.
 Exit codes: 0 success, 2 validation error (bad options, bad numeric
 values, radii outside (0, MAX_RADIUS], unknown names, an --out under a
 regular file, orbit samples that overflow in orbit-sample or
-measure-scan; nothing is written), 3 mathematically inconclusive
-(a saturation search that exhausts its budget without a verdict, or a
-tempered check that answers Unknown because the weights are not integral).
+measure-scan; nothing is written), 3 mathematically inconclusive (a
+saturation search that exhausts its budget without a verdict).
 """
 
 from __future__ import annotations
@@ -120,17 +119,11 @@ def _parse_orbit(text: str) -> OrbitParam:
         raise OrbitConeError(f"orbit value must be finite, got {text!r}")
     if kind in ("hyp", "ell+", "ell-") and value is None:
         raise OrbitConeError(f"orbit kind {kind!r} needs a value, e.g. {kind}:1")
+    if kind in ("nil+", "nil-", "zero") and value is not None:
+        raise OrbitConeError(f"orbit kind {kind!r} takes no value, got {text!r}")
     if kind in ("ell+", "ell-") and value <= 0:
         raise OrbitConeError(f"elliptic orbit needs a positive value, got {text!r}")
     return OrbitParam("sl2R", kind, value)
-
-
-def _parse_pair_spec(text: str) -> str:
-    s = text.strip()
-    if "|" in s:
-        left, right = s.split("|", 1)
-        return f"pair({left.strip()}, {right.strip()})"
-    return s
 
 
 def _clean(obj):
@@ -282,7 +275,7 @@ def _cmd_dual(args) -> _Run:
 
 
 def _cmd_induce(args) -> _Run:
-    E = pair_embedding(_parse_pair_spec(args.pair))
+    E = pair_embedding(args.pair)
     S = exact_cone(args.sub_cone, E.sub.name, E.sub.dim)
     cone = induced_cone(E, S, budget=args.samples, seed=args.seed)
     dirs = cone_directions(cone, args.seed)
@@ -299,7 +292,7 @@ def _cmd_induce(args) -> _Run:
 
 
 def _cmd_restrict(args) -> _Run:
-    E = pair_embedding(_parse_pair_spec(args.pair))
+    E = pair_embedding(args.pair)
     if args.cone == "quaternionic":
         C = quaternionic_wf(budget=args.samples, seed=args.seed)
     elif args.cone in EXACT_NAMES:
@@ -336,19 +329,18 @@ def _cmd_restrict(args) -> _Run:
 
 
 def _cmd_tempered(args) -> _Run:
-    E = pair_embedding(_parse_pair_spec(args.pair))
+    E = pair_embedding(args.pair)
     cert = bk_weak_containment(E)
     return _Run(
         {"pair": E.name},
         {"verdict": cert.verdict, "witness": cert.witness,
          "rays_checked": cert.rays_checked},
         {"weight_tables": cert.weight_tables},
-        code=0 if cert.verdict != "Unknown" else 3,
     )
 
 
 def _cmd_saturation(args) -> _Run:
-    E = pair_embedding(_parse_pair_spec(args.pair))
+    E = pair_embedding(args.pair)
     res = saturation_is_full(E, budget=args.samples, seed=args.seed)
     return _Run(
         {"pair": E.name, "annihilator_dim": int(E.complement_q.shape[0])},
@@ -399,8 +391,7 @@ def _cmd_measure_scan(args) -> _Run:
         )
     L = build_algebra(args.algebra)
     param = _parse_orbit(args.orbit)
-    base = {"hyp": param.value or 1.0, "ell+": param.value or 1.0,
-            "ell-": param.value or 1.0}.get(param.kind, 1.0)
+    base = param.value or 1.0
     lo = base * np.sqrt(2.0) * 1.0001 if param.kind != "zero" else 1.0
     norms = np.geomspace(max(1.0, lo), 100.0 * max(1.0, base), args.samples)
     rows = []

@@ -333,6 +333,8 @@ def dual_cone(C: ConeDescription) -> ConeDescription:
     Generators of the dual are enumerated by facet intersections: after
     quotienting out the lineality (the common kernel of the constraints),
     each extreme ray lies on dim-1 independent constraint hyperplanes.
+    A candidate ray must meet every constraint to 1e-10 times the norm of
+    its generator, so the answer does not depend on the generators' scale.
     """
     if C.kind != "polyhedral":
         raise UnsupportedAlgebra("dual_cone requires a polyhedral cone")
@@ -340,7 +342,8 @@ def dual_cone(C: ConeDescription) -> ConeDescription:
     if d > MAX_DUAL_DIM:
         raise DimensionTooLarge(f"dual cone enumeration limited to dim {MAX_DUAL_DIM}")
     g = C.generators
-    g = g[np.linalg.norm(g, axis=1) > 1e-12]
+    norms = np.linalg.norm(g, axis=1)
+    g, norms = g[norms > 1e-12], norms[norms > 1e-12]
     if len(g) == 0:
         gens = np.vstack([np.eye(d), -np.eye(d)])
         return polyhedral_cone(gens, C.algebra)
@@ -350,27 +353,20 @@ def dual_cone(C: ConeDescription) -> ConeDescription:
     if d2 > 0:
         basis = null_rows(lin.T, 1e-10 * max(lin.shape), 0.0).T  # its complement
         gp = g @ basis  # constraints in quotient coordinates, full rank d2
-        if d2 == 1:
-            for sign in (1.0, -1.0):
-                u = np.array([sign])
-                if np.all(gp @ u <= 1e-10):
-                    rays.append(basis @ u)
-        else:
-            m = len(gp)
-            seen = []
-            for idx in combinations(range(m), d2 - 1):
-                sub = gp[list(idx)]
-                ns = null_rows(sub, 1e-10 * max(sub.shape), 0.0).T
-                if ns.shape[1] != 1:
-                    continue
-                u = ns[:, 0]
-                for cand in (u, -u):
-                    if np.all(gp @ cand <= 1e-10):
-                        cu = cand / np.linalg.norm(cand)
-                        if not any(np.linalg.norm(cu - s) < 1e-9 for s in seen):
-                            seen.append(cu)
-                            rays.append(basis @ cu)
-                        break
+        seen = []
+        for idx in combinations(range(len(gp)), d2 - 1):
+            sub = gp[list(idx)]
+            ns = null_rows(sub, 1e-10 * max(sub.shape), 0.0).T
+            if ns.shape[1] != 1:
+                continue
+            u = ns[:, 0]
+            for cand in (u, -u):
+                if np.all(gp @ cand <= 1e-10 * norms):
+                    cu = cand / np.linalg.norm(cand)
+                    if not any(np.linalg.norm(cu - s) < 1e-9 for s in seen):
+                        seen.append(cu)
+                        rays.append(basis @ cu)
+                    break
     gens = rays + [lin[:, j] for j in range(lin.shape[1])] + [
         -lin[:, j] for j in range(lin.shape[1])
     ]

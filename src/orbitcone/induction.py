@@ -57,8 +57,9 @@ class SubalgebraEmbedding:
     """A verified pair h in g.
 
     inclusion: (dim_h, dim_g), row i = ambient coordinates of the i-th sub
-    basis element.  q: (dim_h, dim_g) dual projection.  complement_q: rows
-    span the trace-form orthocomplement of h in g (equivalently, in chart
+    basis element.  q: (dim_h, dim_g) dual projection, defined by the
+    pullback identity Q^T G_h = G_g I^T.  complement_q: rows span the
+    trace-form orthocomplement of h in g (equivalently, in chart
     coordinates, the annihilator of h on the dual side).
     """
 
@@ -67,7 +68,6 @@ class SubalgebraEmbedding:
     inclusion: np.ndarray
     q: np.ndarray
     complement_q: np.ndarray
-    lift: np.ndarray
     name: str
 
 
@@ -92,21 +92,9 @@ def make_embedding(
     stacked = np.vstack([inc, comp])
     if abs(np.linalg.det(stacked)) <= 1e-9:
         raise DimensionMismatch("sub and complement do not span the ambient")
-    # pullback identity <q(xi), Y>_h = <xi, inc Y>_g on basis pairs:
-    # as bilinear forms in chart coordinates, Q^T G_h must equal G_g I^T
-    lhs = q.T @ sub.gram
-    rhs = ambient.gram @ inc.T
-    if np.max(np.abs(lhs - rhs)) > BRACKET_TOL * max(1.0, np.max(np.abs(rhs))):
-        raise DimensionMismatch("pullback identity fails")
-    # section of q: columns solve q @ lift = id, supported away from the
-    # annihilator (the transpose of inc is only a section when the sub
-    # inherits the ambient trace form, which e.g. diagonal pairs do not)
-    lift = np.linalg.pinv(q)
-    if np.max(np.abs(q @ lift - np.eye(sub.dim))) > 1e-9:
-        raise DimensionMismatch("pullback has no section (degenerate pair)")
     return SubalgebraEmbedding(
         ambient=ambient, sub=sub, inclusion=inc, q=q, complement_q=comp,
-        lift=lift, name=name or f"pair({ambient.name}, {sub.name})",
+        name=name or f"pair({ambient.name}, {sub.name})",
     )
 
 
@@ -179,22 +167,25 @@ def diagonal_embedding(factor_spec: str) -> SubalgebraEmbedding:
 def pair_embedding(spec: str) -> SubalgebraEmbedding:
     """Parse an embedding spec.
 
-    Forms: "pair(G, H)" for matrix-span pairs such as
-    pair(su(2,1), so(2,1)) or pair(sl2R, a); "pair(so(p,q),
-    blocks[(p1,q1),...])" for block-diagonal subalgebras; "diag(S)" for
-    the diagonal inside prod(S, S).
+    Forms: "G|H" or "pair(G, H)" for matrix-span pairs such as
+    su(2,1)|so(2,1) or pair(sl2R, a), and for block-diagonal subalgebras
+    so(p,q)|blocks[(p1,q1),...]; "diag(S)" for the diagonal inside
+    prod(S, S).  "G|H" splits at the first "|".
     """
     s = spec.strip()
-    m = re.fullmatch(r"diag\((.+)\)", s)
-    if m:
-        return diagonal_embedding(m.group(1).strip())
-    m = re.fullmatch(r"pair\((.+)\)", s, flags=re.DOTALL)
-    if not m:
-        raise UnsupportedAlgebra(f"cannot parse embedding spec {spec!r}")
-    parts = split_args(m.group(1))
-    if len(parts) != 2:
-        raise UnsupportedAlgebra(f"pair spec needs two arguments: {spec!r}")
-    left, right = parts
+    if "|" in s:
+        left, right = (part.strip() for part in s.split("|", 1))
+    else:
+        m = re.fullmatch(r"diag\((.+)\)", s)
+        if m:
+            return diagonal_embedding(m.group(1).strip())
+        m = re.fullmatch(r"pair\((.+)\)", s, flags=re.DOTALL)
+        if not m:
+            raise UnsupportedAlgebra(f"cannot parse embedding spec {spec!r}")
+        parts = split_args(m.group(1))
+        if len(parts) != 2:
+            raise UnsupportedAlgebra(f"pair spec needs two arguments: {spec!r}")
+        left, right = parts
     if right.startswith("blocks["):
         mm = re.fullmatch(r"so\((\d+),(\d+)\)", left)
         if not mm:
@@ -241,7 +232,9 @@ def induced_cone_samples(
     else:
         n_lift = budget if len(lifted) else 0
     if n_lift and len(lifted):
-        pick = lifted[rng.integers(0, len(lifted), n_lift)] @ E.lift.T
+        # q has full row rank (make_embedding checks that inclusion and
+        # complement span the ambient), so its pseudo-inverse is a section
+        pick = lifted[rng.integers(0, len(lifted), n_lift)] @ np.linalg.pinv(E.q).T
         scale = np.exp(rng.uniform(np.log(0.2), np.log(5.0), n_lift))
         pts = pick * scale[:, None]
         if comp.shape[0] > 0:
@@ -511,19 +504,6 @@ def regular_signatures(L: MatrixLieAlgebra, pts: np.ndarray) -> list:
         compact[plane] += definite
         split[plane] += ~definite
     return [(int(c), int(a)) if r else None for r, c, a in zip(regular, compact, split)]
-
-
-def cartan_signature_search(
-    L: MatrixLieAlgebra, trials: int = 400, seed: int = 0
-) -> dict:
-    """Randomized search for Cartan signatures: centralizers of random
-    regular elements.  Returns {signature: witness coordinates}."""
-    x = np.random.default_rng(seed).standard_normal((trials, L.dim))
-    found: dict[tuple[int, int], np.ndarray] = {}
-    for row, sig in zip(x, regular_signatures(L, x)):
-        if sig is not None:
-            found.setdefault(sig, row)
-    return found
 
 
 # ---------------------------------------------------------------------------

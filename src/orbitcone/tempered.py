@@ -8,8 +8,9 @@ check reduces to finitely many candidate rays: the +- solutions of every
 (dim-1)-subset of hyperplanes of full rank, taken after quotienting the
 common lineality space.  The rays are enumerated as primitive integer
 vectors by fraction-free elimination, so the comparison on them is exact
-integer arithmetic.  This needs integral weights; for non-integral
-weights the test answers "Unknown".
+integer arithmetic.  This needs integral weights; non-integral weights
+raise UnsupportedAlgebra (every pair the CLI builds has integral
+weights).
 
 The weights come from symmetric matrices: the split rows are Hermitian
 matrices on both sides of a Cartan-compatible (theta-stable) pair, so
@@ -50,7 +51,11 @@ class WeightSystem:
 
 @dataclass(frozen=True, eq=False)
 class BKCertificate:
-    verdict: str  # "Contained" | "Violated" | "Unknown"
+    """The answer of ``bk_weak_containment``: the verdict, the normalized
+    ray of the largest violation (None when contained), the number of
+    candidate rays compared and the weight tables."""
+
+    verdict: str  # "Contained" | "Violated"
     witness: dict | None
     rays_checked: int
     weight_tables: dict
@@ -212,8 +217,10 @@ def _null_rays(ech, pivots, ncols):
 
 
 def bk_weak_containment(E: SubalgebraEmbedding) -> BKCertificate:
-    """Exact global test of 2 rho_h <= rho_g over the split abelian part;
-    "Unknown" when the weights are not integral."""
+    """Exact global test of 2 rho_h <= rho_g over the split abelian part.
+
+    The verdict is "Contained" or "Violated"; weights that are not
+    integral raise UnsupportedAlgebra."""
     a_rows = split_abelian(E)
     k = a_rows.shape[0]
     tables: dict = {"split_dim": k}
@@ -223,10 +230,12 @@ def bk_weak_containment(E: SubalgebraEmbedding) -> BKCertificate:
         raise DimensionTooLarge(f"split part has dim {k} > {MAX_SPLIT_DIM}")
     W_h = weights_of_action(_orthonormal_ad(E.sub, a_rows))
     W_g = weights_of_action(_orthonormal_ad(E.ambient, a_rows @ E.inclusion))
+    if not (W_h.integral and W_g.integral):
+        raise UnsupportedAlgebra(
+            f"weights of the split part of {E.name} are not integral"
+        )
     tables["sub_weights"] = [[list(w), m] for w, m in W_h.weights]
     tables["ambient_weights"] = [[list(w), m] for w, m in W_g.weights]
-    if not (W_h.integral and W_g.integral):
-        return BKCertificate("Unknown", None, 0, tables)
     return _bk_rays(W_h, W_g, k, tables)
 
 

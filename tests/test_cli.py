@@ -163,6 +163,12 @@ def test_validation_errors_exit_2(tmp_path):
         ["tempered", "--pair", "so(3,1)|blocks[(2,1)(1,0)]"],
         ["tempered", "--pair", "so(3,1)|blocks[(2,1),(1,0),]"],
         ["tempered", "--pair", "so(3,1)|blocks[(0,0),(2,1)]"],
+        # a sigma_hyp parameter that is not a number
+        ["ac", "--rep", "sigma_hyp:1.2.3:+"],
+        ["ac", "--rep", "sigma_hyp:.:+"],
+        # a value on an orbit kind that takes none
+        ["orbit-sample", "--orbit", "nil+:5"],
+        ["measure-scan", "--orbit", "nil-:2"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -175,7 +181,8 @@ def test_validation_errors_exit_2(tmp_path):
          "radii-huge-union", "radii-zero", "scan-hyp-huge", "scan-ell-huge",
          "restrict-quadric-su21", "induce-quadric-so22", "induce-quadric-so3",
          "dual-no-generators", "blocks-junk", "blocks-missing-comma",
-         "blocks-trailing-comma", "blocks-empty-block"],
+         "blocks-trailing-comma", "blocks-empty-block", "sigma-hyp-two-points",
+         "sigma-hyp-point-only", "nil-value", "scan-nil-value"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, args):
     code, _, out = run(args, tmp_path)
@@ -250,14 +257,15 @@ def test_inconclusive_exits_3(tmp_path, monkeypatch):
     assert rep["result"]["verdict"] == "unknown"
 
 
-def test_tempered_unknown_exits_3(tmp_path, monkeypatch):
+def test_tempered_non_integral_weights_exits_2(tmp_path, monkeypatch, capsys):
     # every catalog pair has integral weights; this hand-built one does not
     E = make_embedding(build_algebra("sl2R"), build_algebra("a"), [[0.3, 0, 0]])
     monkeypatch.setattr(cli, "pair_embedding", lambda spec: E)
-    code, rep, _ = run(["tempered", "--pair", "pair(sl2R, a)"], tmp_path)
-    assert code == 3
-    assert rep["result"]["verdict"] == "Unknown"
-    assert rep["result"]["rays_checked"] == 0
+    code, rep, out = run(["tempered", "--pair", "pair(sl2R, a)"], tmp_path)
+    assert code == 2
+    assert rep is None and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not integral" in err
 
 
 def test_saturation_false_exits_0(tmp_path):

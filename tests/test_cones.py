@@ -181,6 +181,41 @@ def test_dual_cone_trivial_cases():
         assert np.min(np.linalg.norm(gens - v, axis=1)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "gens, want",
+    [
+        # one quotient ray, then the lineality line both ways
+        ([[1.0, 2.0]], [[-0.4472135954999581, -0.8944271909999159],
+                        [-0.8944271909999157, 0.4472135954999581],
+                        [0.8944271909999157, -0.4472135954999581]]),
+        ([[1.0, -2.0, 3.0]], [[-0.26726124191242423, 0.5345224838248488, -0.8017837257372732],
+                              [0.5345224838248488, 0.7745419205884383, 0.3381871191173426],
+                              [-0.8017837257372732, 0.33818711911734267, 0.492719321323986],
+                              [-0.5345224838248488, -0.7745419205884383, -0.3381871191173426],
+                              [0.8017837257372732, -0.33818711911734267, -0.492719321323986]]),
+    ],
+    ids=["ray-2d", "rank-one-3d"],
+)
+def test_dual_of_a_rank_one_cone_keeps_its_generators(gens, want):
+    # a one-dimensional quotient goes through the facet loop with no facet
+    got = dual_cone(polyhedral_cone(np.array(gens))).generators
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "gens", [[[-1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]],
+    ids=["ray-left", "ray-up", "wedge-3d"],
+)
+def test_dual_cone_does_not_depend_on_the_scale(gens):
+    # generators of norm 1e-11 once met every constraint to an absolute
+    # 1e-10, so both half-planes of a tiny ray passed
+    g = np.array(gens)
+    want = dual_cone(polyhedral_cone(g)).generators
+    got = dual_cone(polyhedral_cone(1e-11 * g)).generators
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.max(g @ got.T) <= 1e-12
+
+
 def test_double_dual_recovery_small_dims():
     rng = np.random.default_rng(21)
     for d in (2, 3, 4, 5):

@@ -18,6 +18,7 @@ from orbitcone import (
     pair_embedding,
     restriction_class_counts,
     restriction_lower_bound,
+    sampled_cone,
     saturation_is_full,
 )
 from orbitcone.errors import (
@@ -28,7 +29,6 @@ from orbitcone.errors import (
 )
 from orbitcone.induction import (
     algebra_rank,
-    cartan_signature_search,
     decomposability_obstructed,
     induced_cone_samples,
     regular_signatures,
@@ -86,10 +86,24 @@ def test_pullback_identity(embedding):
 
 
 def test_q_after_lift_is_identity(embedding):
+    # the untransported seeds of the induced-cone sampler are annihilator
+    # points or lifted S directions, scaled by 0.2 to 5, plus annihilator
+    # offsets, so q maps each to 0 or to a multiple in [0.2, 5] of a
+    # direction of S.  The transpose of q is no section: q @ q.T is 2I on
+    # diag(sl2R)
     E = embedding
-    rng = np.random.default_rng(1)
-    xi = rng.standard_normal(E.sub.dim)
-    assert np.allclose(E.q @ (E.lift @ xi), xi, atol=1e-9)
+    d = np.random.default_rng(1).standard_normal((5, E.sub.dim))
+    dirs = d / np.linalg.norm(d, axis=1, keepdims=True)
+    out = induced_cone_samples(E, sampled_cone(dirs, E.sub.name), budget=1000, seed=3)
+    pool = out[: len(out) // 2]
+    img = pool @ E.q.T
+    size = np.linalg.norm(img, axis=1)
+    lifted = size > 1e-9 * np.linalg.norm(pool, axis=1)
+    assert lifted.sum() == 1000 - 1000 // 4
+    unit = img[lifted] / size[lifted, None]
+    gap = np.linalg.norm(unit[:, None] - dirs[None], axis=2).min(axis=1)
+    assert np.max(gap) <= 1e-9
+    assert 0.2 * (1 - 1e-9) <= size[lifted].min() <= size[lifted].max() <= 5 * (1 + 1e-9)
 
 
 def test_pullback_respects_pairings(embedding):
@@ -207,7 +221,8 @@ def test_cartan_enumeration_agrees_with_random_search():
     for name in ("so(2,2)", "su(2,1)"):
         L = build_algebra(name)
         enumerated = {c.signature for c in cartan_classes(L)}
-        found = set(cartan_signature_search(L, trials=300, seed=11))
+        x = np.random.default_rng(11).standard_normal((300, L.dim))
+        found = set(regular_signatures(L, x)) - {None}
         assert found <= enumerated
         assert found == enumerated  # search saturates on these small algebras
 

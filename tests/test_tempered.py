@@ -113,17 +113,14 @@ def test_diagonal_pair_boundary_contained():
     assert cert.verdict == "Contained"
 
 
-def test_non_integral_weights_unknown():
+def test_non_integral_weights_raise():
     # the split line acting with weights +-0.6 on sl2R
     E = make_embedding(build_algebra("sl2R"), build_algebra("a"), [[0.3, 0, 0]])
-    cert = bk_weak_containment(E)
-    assert cert.verdict == "Unknown"
-    assert cert.witness is None
-    assert cert.rays_checked == 0
-    t = cert.weight_tables
-    assert t["split_dim"] == 1
-    assert sorted(w[0] for w, _ in t["ambient_weights"]) == pytest.approx([-0.6, 0.0, 0.6])
-    assert t["sub_weights"] == [[[0], 1]]
+    W = weights_of_action(_orthonormal_ad(E.ambient, split_abelian(E) @ E.inclusion))
+    assert not W.integral
+    assert sorted(w[0] for w, _ in W.weights) == pytest.approx([-0.6, 0.0, 0.6])
+    with pytest.raises(UnsupportedAlgebra, match="not integral"):
+        bk_weak_containment(E)
 
 
 def test_so22_so21_boundary_contained():
