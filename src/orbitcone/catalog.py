@@ -34,6 +34,7 @@ from .cones import (
     sampled_cone,
 )
 from .errors import UnsupportedAlgebra
+from .induction import decomposability_obstructed
 from .liealg import build_algebra, matrix_coords, random_group_words, sl2_casimir
 from .orbits import OrbitParam, orbit_branch, orbit_family, orbit_sum_sample, union_family
 
@@ -249,7 +250,9 @@ def tensor_analysis(
         "hyperbolic": int(np.sum(cas > tol)),
         "null": int(np.sum(np.abs(cas) <= tol)),
     }
-    obstructed = counts["hyperbolic"] > 0
+    tags = {"elliptic+": "Elliptic", "elliptic-": "Elliptic",
+            "null": "Nilpotent", "hyperbolic": "Hyperbolic"}
+    obstructed = decomposability_obstructed({tags[k]: c for k, c in counts.items() if c})
     if counts["elliptic+"] == samples:
         sum_class = "elliptic-plus"
     elif counts["elliptic-"] == samples:

@@ -391,8 +391,10 @@ def _cmd_measure_scan(args) -> _Run:
         )
     L = build_algebra(args.algebra)
     param = _parse_orbit(args.orbit)
+    if param.kind == "zero":
+        raise OrbitConeError("measure-scan needs a nonzero orbit: the zero orbit is one point")
     base = param.value or 1.0
-    lo = base * np.sqrt(2.0) * 1.0001 if param.kind != "zero" else 1.0
+    lo = base * np.sqrt(2.0) * 1.0001
     norms = np.geomspace(max(1.0, lo), 100.0 * max(1.0, base), args.samples)
     rows = []
     for t in norms:

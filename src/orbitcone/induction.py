@@ -31,13 +31,11 @@ from .errors import (
     BadPartition,
     BudgetTooSmall,
     DimensionMismatch,
-    NonCommuting,
     UnsupportedAlgebra,
 )
 from .liealg import (
     MatrixLieAlgebra,
     ad_matrix,
-    bracket,
     build_algebra,
     classify_batch,
     element_matrix,
@@ -308,71 +306,24 @@ class CartanClass:
     label: str
 
 
-def algebra_rank(L: MatrixLieAlgebra) -> int:
-    """Generic centralizer dimension: min over random probes."""
-    if L.dim == 0:
-        return 0
-    rng = np.random.default_rng(0)
-    best = L.dim
-    for _ in range(8):
-        x = rng.standard_normal(L.dim)
-        best = min(best, null_rows(ad_matrix(L, x)).shape[0])
-    return best
-
-
-def cartan_signature(L: MatrixLieAlgebra, gens) -> tuple[int, int]:
-    """(compact dim, split dim) of a commuting ad-diagonalizable span.
-
-    Root functionals are read off the eigenvectors of a generic element:
-    a direction is compact when every root takes an imaginary value on
-    it, split when every root takes a real value.  A span without roots
-    is central; the weights of its defining matrices decide it the same
-    way (the rotation of ``so(2,0)`` is compact, ``abelian(n)`` is split).
-    The empty span has signature (0, 0).
-    """
-    if np.size(gens) == 0:
-        return (0, 0)
-    g = np.atleast_2d(np.asarray(gens, dtype=float))
-    k = len(g)
-    scale = max(np.max(np.abs(g)), 1e-12)
-    comm = np.max(np.abs(bracket(L, g[:, None], g[None])), axis=2)
-    bad = np.argwhere(np.triu(comm > 1e-9 * scale * scale, 1))
-    if len(bad):
-        raise NonCommuting(f"generators {bad[0][0]} and {bad[0][1]} do not commute")
-    ads = ad_matrix(L, g)
-    rng = np.random.default_rng(0)
-    for _ in range(16):
-        combo = rng.standard_normal(k)
-        a = np.tensordot(combo, ads, axes=1)
-        vals, vecs = np.linalg.eig(a)
-        big = np.abs(vals) > 1e-7 * max(1.0, np.max(np.abs(vals)))
-        idx = np.where(big)[0]
-        mats = ads
-        if len(idx) == 0:  # no roots: use the weights of the defining matrices
-            mats = element_matrix(L, g)
-            vecs = np.linalg.eig(np.tensordot(combo, mats, axes=1))[1]
-            idx = np.arange(vecs.shape[1])
-        elif len(idx) != L.dim - null_rows(a).shape[0]:
-            continue  # not a regular combination, retry
-        v = vecs[:, idx] / np.linalg.norm(vecs[:, idx], axis=0)
-        roots = np.einsum("ar,kab,br->rk", v.conj(), mats, v)  # <v_r, M_i v_r>
-        t_dim = null_rows(roots.real, rtol=1e-7).shape[0]
-        a_dim = null_rows(roots.imag, rtol=1e-7).shape[0]
-        if t_dim + a_dim != k:
-            # a genuine Cartan splits into compact plus split directions;
-            # anything else is a non-semisimple span
-            raise NonCommuting("span is not ad-diagonalizable")
-        return (t_dim, a_dim)
-    raise NonCommuting("no regular element found in the span")
-
-
-def _verify_cartan(L: MatrixLieAlgebra, gens, expect_rank: int) -> None:
-    g = np.atleast_2d(gens)
-    if len(g) != expect_rank:
-        raise UnsupportedAlgebra("representative has wrong dimension")
-    cent = null_rows(ad_matrix(L, g).reshape(-1, L.dim), rtol=1e-10)
-    if cent.shape[0] != expect_rank:
-        raise UnsupportedAlgebra("representative is not maximal abelian")
+def _check_cartan(L: MatrixLieAlgebra, rep: CartanClass) -> None:
+    """Raise unless the rows of rep are a basis of a Cartan subalgebra of L
+    with rep's signature.  A generic combination x of k = sum(signature)
+    independent rows is regular of that signature, so z(x) is a Cartan of
+    dimension k; a k-dimensional joint centralizer of the rows is then
+    z(x), and since a Cartan is self-centralizing the rows lie in z(x),
+    commute and span it."""
+    g, k = rep.generators, sum(rep.signature)
+    if len(g) != k or null_rows(g.T).shape[0]:
+        raise UnsupportedAlgebra(f"{rep.label}: rows are not {k} independent vectors")
+    if null_rows(ad_matrix(L, g).reshape(-1, L.dim), rtol=1e-10).shape[0] != k:
+        raise UnsupportedAlgebra(f"{rep.label}: representative is not maximal abelian")
+    combos = np.random.default_rng(0).standard_normal((5, k)) @ g
+    sigs = set(regular_signatures(L, combos))
+    if sigs != {rep.signature}:
+        raise UnsupportedAlgebra(
+            f"signature check failed for {rep.label}: {sigs} != {{{rep.signature}}}"
+        )
 
 
 def _so_cartan_classes(p: int, q: int) -> list[CartanClass]:
@@ -428,7 +379,9 @@ def _so_cartan_classes(p: int, q: int) -> list[CartanClass]:
 
 def cartan_classes(L: MatrixLieAlgebra) -> list[CartanClass]:
     """Representatives of the Cartan subalgebra classes, one per
-    signature, each verified maximal abelian with matching signature."""
+    signature.  Each is checked by :func:`regular_signatures`: generic
+    combinations of its rows are regular semisimple of its signature, and
+    the rows span their joint centralizer."""
     if L.name == "sl2R":
         reps = [
             CartanClass("sl2R", (1, 0), np.array([[0.0, 0.0, 1.0]]), "compact"),
@@ -450,17 +403,9 @@ def cartan_classes(L: MatrixLieAlgebra) -> list[CartanClass]:
         return [CartanClass(L.name, (0, L.dim), np.eye(L.dim), "itself")]
     else:
         raise UnsupportedAlgebra(f"no Cartan catalog for {L.name}")
-    rank = algebra_rank(L)
-    seen = set()
     for rep in reps:
-        _verify_cartan(L, rep.generators, rank)
-        sig = cartan_signature(L, rep.generators)
-        if sig != rep.signature:
-            raise UnsupportedAlgebra(
-                f"signature check failed for {rep.label}: {sig} != {rep.signature}"
-            )
-        seen.add(sig)
-    if len(seen) != len(reps):
+        _check_cartan(L, rep)
+    if len({rep.signature for rep in reps}) != len(reps):
         raise UnsupportedAlgebra("representatives are not pairwise distinct")
     return reps
 

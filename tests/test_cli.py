@@ -169,6 +169,8 @@ def test_validation_errors_exit_2(tmp_path):
         # a value on an orbit kind that takes none
         ["orbit-sample", "--orbit", "nil+:5"],
         ["measure-scan", "--orbit", "nil-:2"],
+        # the zero orbit has no tangent space to scan
+        ["measure-scan", "--orbit", "zero"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -182,7 +184,7 @@ def test_validation_errors_exit_2(tmp_path):
          "restrict-quadric-su21", "induce-quadric-so22", "induce-quadric-so3",
          "dual-no-generators", "blocks-junk", "blocks-missing-comma",
          "blocks-trailing-comma", "blocks-empty-block", "sigma-hyp-two-points",
-         "sigma-hyp-point-only", "nil-value", "scan-nil-value"],
+         "sigma-hyp-point-only", "nil-value", "scan-nil-value", "scan-zero-orbit"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, args):
     code, _, out = run(args, tmp_path)

@@ -1,9 +1,13 @@
 """Imports of the package modules: every top-level import is used, no
 private name crosses a module boundary, no function imports, the
-package exports exactly what its ``__init__`` imports, and the CLI does
-not load ``scipy.optimize``."""
+package exports exactly what its ``__init__`` imports, the CLI does
+not load ``scipy.optimize``, and the benchmark tracer still finds every
+function it wraps."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -12,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import orbitcone
+import orbitcone.cli  # noqa: F401  (the tracer wraps only modules already imported)
 
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 SOURCES = sorted(Path(orbitcone.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -98,3 +104,63 @@ def test_cli_import_does_not_load_scipy_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "False"
+
+
+def counter_arguments(source: str) -> dict[str, set[str]]:
+    """For each layer of a tracer module's ``LAYERS``, the argument names
+    its counter reads (``arguments["name"]``, the counter's first
+    parameter subscripted by a string)."""
+    tree = ast.parse(source)
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    layers = next(
+        n.value for n in tree.body
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "LAYERS"
+    )
+    reads = {}
+    for key, count in zip(layers.keys, layers.values):
+        if isinstance(count, ast.Name):
+            count = defs[count.id]
+        if not isinstance(count, (ast.Lambda, ast.FunctionDef)):
+            continue
+        arg = count.args.args[0].arg
+        reads[key.value] = {
+            n.slice.value for n in ast.walk(count)
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+            and n.value.id == arg and isinstance(n.slice, ast.Constant)
+        }
+    return reads
+
+
+def test_counter_arguments_are_found():
+    src = (
+        "def _sat(a, r):\n    return {'n': r['x']}\n"
+        "LAYERS = {'m.f': lambda a, r: {'k': len(a['pts']), 'j': r['y']},\n"
+        "          'm.g': None, 'm.h': _sat}\n"
+    )
+    assert counter_arguments(src) == {"m.f": {"pts"}, "m.h": set()}
+
+
+def test_bench_tracer_wraps_every_layer():
+    # bench/run.py --trace 1 installs all of LAYERS: a traced name that is
+    # renamed or deleted, or a counter argument that is renamed, breaks it
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    reads = counter_arguments(TRACING.read_text())
+    assert reads["liealg.classify_batch"] == {"points"}
+    assert reads["cones.dedup_directions"] == {"dirs"}
+
+    def bound(name):
+        module, attr = name.rsplit(".", 1)
+        return getattr(importlib.import_module(f"orbitcone.{module}"), attr)
+
+    originals = {name: bound(name) for name in tracing.LAYERS}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, fn in originals.items():
+            assert bound(name) is not fn and bound(name).__wrapped__ is fn, name
+            assert reads.get(name, set()) <= set(inspect.signature(fn).parameters), name
+    finally:
+        tracer.uninstall()
+    assert all(bound(name) is fn for name, fn in originals.items())

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitcone import (
+    MatrixLieAlgebra,
     build_algebra,
     cartan_classes,
-    cartan_signature,
     classify_batch,
     cone_directions,
     diagonal_embedding,
@@ -27,13 +28,19 @@ from orbitcone.errors import (
     NonCommuting,
     UnsupportedAlgebra,
 )
+from orbitcone import induction
 from orbitcone.induction import (
-    algebra_rank,
     decomposability_obstructed,
     induced_cone_samples,
     regular_signatures,
 )
-from orbitcone.liealg import ad_matrix, null_rows, random_group_words
+from orbitcone.liealg import (
+    ad_matrix,
+    bracket,
+    element_matrix,
+    null_rows,
+    random_group_words,
+)
 
 PAIR_SPECS = [
     "pair(sl2R, a)",
@@ -225,6 +232,105 @@ def test_cartan_enumeration_agrees_with_random_search():
         found = set(regular_signatures(L, x)) - {None}
         assert found <= enumerated
         assert found == enumerated  # search saturates on these small algebras
+
+
+# Independent reference for the Cartan signature: root functionals read off
+# ad eigenvectors, not the defining-matrix eigenvalues of regular_signatures.
+
+
+def algebra_rank(L: MatrixLieAlgebra) -> int:
+    """Generic centralizer dimension: min over random probes."""
+    if L.dim == 0:
+        return 0
+    rng = np.random.default_rng(0)
+    best = L.dim
+    for _ in range(8):
+        x = rng.standard_normal(L.dim)
+        best = min(best, null_rows(ad_matrix(L, x)).shape[0])
+    return best
+
+
+def cartan_signature(L: MatrixLieAlgebra, gens) -> tuple[int, int]:
+    """(compact dim, split dim) of a commuting ad-diagonalizable span.
+
+    Root functionals are read off the eigenvectors of a generic element:
+    a direction is compact when every root takes an imaginary value on
+    it, split when every root takes a real value.  A span without roots
+    is central; the weights of its defining matrices decide it the same
+    way (the rotation of ``so(2,0)`` is compact, ``abelian(n)`` is split).
+    The empty span has signature (0, 0).
+    """
+    if np.size(gens) == 0:
+        return (0, 0)
+    g = np.atleast_2d(np.asarray(gens, dtype=float))
+    k = len(g)
+    scale = max(np.max(np.abs(g)), 1e-12)
+    comm = np.max(np.abs(bracket(L, g[:, None], g[None])), axis=2)
+    bad = np.argwhere(np.triu(comm > 1e-9 * scale * scale, 1))
+    if len(bad):
+        raise NonCommuting(f"generators {bad[0][0]} and {bad[0][1]} do not commute")
+    ads = ad_matrix(L, g)
+    rng = np.random.default_rng(0)
+    for _ in range(16):
+        combo = rng.standard_normal(k)
+        a = np.tensordot(combo, ads, axes=1)
+        vals, vecs = np.linalg.eig(a)
+        big = np.abs(vals) > 1e-7 * max(1.0, np.max(np.abs(vals)))
+        idx = np.where(big)[0]
+        mats = ads
+        if len(idx) == 0:  # no roots: use the weights of the defining matrices
+            mats = element_matrix(L, g)
+            vecs = np.linalg.eig(np.tensordot(combo, mats, axes=1))[1]
+            idx = np.arange(vecs.shape[1])
+        elif len(idx) != L.dim - null_rows(a).shape[0]:
+            continue  # not a regular combination, retry
+        v = vecs[:, idx] / np.linalg.norm(vecs[:, idx], axis=0)
+        roots = np.einsum("ar,kab,br->rk", v.conj(), mats, v)  # <v_r, M_i v_r>
+        t_dim = null_rows(roots.real, rtol=1e-7).shape[0]
+        a_dim = null_rows(roots.imag, rtol=1e-7).shape[0]
+        if t_dim + a_dim != k:
+            # a genuine Cartan splits into compact plus split directions;
+            # anything else is a non-semisimple span
+            raise NonCommuting("span is not ad-diagonalizable")
+        return (t_dim, a_dim)
+    raise NonCommuting("no regular element found in the span")
+
+
+def _last_row(rep, row):
+    gens = rep.generators.copy()
+    gens[-1] = row
+    return replace(rep, generators=gens)
+
+
+# each mutation of the so(4,4) catalog and the check that must reject it
+CATALOG_MUTATIONS = {
+    "swapped signature": (
+        lambda reps: [reps[0], replace(reps[1], signature=reps[1].signature[::-1]), *reps[2:]],
+        "signature check failed",
+    ),
+    "non-commuting row": (
+        lambda reps: [_last_row(reps[0], np.ones(reps[0].generators.shape[1])), *reps[1:]],
+        "not maximal abelian",
+    ),
+    "dependent row": (
+        lambda reps: [_last_row(reps[0], reps[0].generators[:-1].sum(axis=0)), *reps[1:]],
+        "independent vectors",
+    ),
+    "rows of two Cartans": (
+        lambda reps: [_last_row(reps[0], reps[-1].generators[-1]), *reps[1:]],
+        "not maximal abelian",
+    ),
+    "duplicate class": (lambda reps: [*reps, reps[0]], "not pairwise distinct"),
+}
+
+
+@pytest.mark.parametrize("mutation", CATALOG_MUTATIONS)
+def test_cartan_catalog_rejects_a_mutated_representative(monkeypatch, mutation):
+    mutate, message = CATALOG_MUTATIONS[mutation]
+    original = induction._so_cartan_classes
+    monkeypatch.setattr(induction, "_so_cartan_classes", lambda p, q: mutate(original(p, q)))
+    with pytest.raises(UnsupportedAlgebra, match=message):
+        cartan_classes(build_algebra("so(4,4)"))
 
 
 def test_cartan_signature_requires_commuting_span():
