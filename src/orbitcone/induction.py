@@ -38,16 +38,15 @@ from .liealg import (
     ad_matrix,
     build_algebra,
     classify_batch,
-    element_matrix,
     matrix_coords,
     null_rows,
     random_group_words,
+    regular_signatures,
     split_args,
 )
 
 BRACKET_TOL = 1e-12
 MAX_CARTAN_SIZE = 8
-SIGNATURE_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,47 +407,6 @@ def cartan_classes(L: MatrixLieAlgebra) -> list[CartanClass]:
     if len({rep.signature for rep in reps}) != len(reps):
         raise UnsupportedAlgebra("representatives are not pairwise distinct")
     return reps
-
-
-def regular_signatures(L: MatrixLieAlgebra, pts: np.ndarray) -> list:
-    """Cartan signature (compact dim, split dim) of the centralizer of each
-    row of pts, None where the row is not regular semisimple, read off the
-    eigenvalues of the stacked defining matrices.  ``abelian(n)``: (0, n).
-    ``sl2R``, ``su(2,1)``: distinct eigenvalues; (rank, 0) when all are
-    imaginary, else (rank-1, 1).  ``so(p,q)``: distinct nonzero eigenvalues,
-    zero of multiplicity 1 (odd p+q) or 0 or 2 (even p+q); compact dim =
-    imaginary pairs + complex quadruples, split dim = real pairs + complex
-    quadruples, and a double zero adds its kernel plane (compact when the
-    form is definite on it)."""
-    if L.name.startswith("abelian("):
-        return [(0, L.dim)] * len(pts)
-    so = re.fullmatch(r"so\((\d+),(\d+)\)", L.name)
-    if not so and L.name not in ("sl2R", "su(2,1)"):
-        raise UnsupportedAlgebra(f"no Cartan signature rule for {L.name}")
-    X = element_matrix(L, pts)
-    lam = np.linalg.eigvals(X).astype(complex)
-    n = lam.shape[1]
-    tol = SIGNATURE_TOL * np.linalg.norm(X, axis=(1, 2))[:, None]
-    zero, imag, real = np.abs(lam) <= tol, np.abs(lam.real) <= tol, np.abs(lam.imag) <= tol
-    twin = np.abs(lam[:, :, None] - lam[:, None, :]) <= tol[:, :, None]
-    regular = ~np.any(twin & ~np.eye(n, dtype=bool) & ~zero[:, :, None], axis=(1, 2))
-    n_zero = zero.sum(axis=1)
-    if not so:  # rank n - 1
-        regular &= n_zero <= 1
-        split = 1 - np.all(imag, axis=1)
-        compact = n - 1 - split
-    else:
-        regular &= np.isin(n_zero, (1,) if n % 2 else (0, 2))
-        quads = np.sum(~zero & ~imag & ~real, axis=1) // 4
-        compact = np.sum(~zero & imag, axis=1) // 2 + quads
-        split = np.sum(~zero & real, axis=1) // 2 + quads
-        plane = np.flatnonzero(regular & (n_zero == 2))
-        vt = np.linalg.svd(X[plane])[2]
-        eta = np.repeat([1.0, -1.0], [int(so.group(1)), int(so.group(2))])
-        definite = np.linalg.det(np.einsum("kin,n,kjn->kij", vt[:, -2:], eta, vt[:, -2:])) > 0
-        compact[plane] += definite
-        split[plane] += ~definite
-    return [(int(c), int(a)) if r else None for r, c, a in zip(regular, compact, split)]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .errors import (
 GRAM_DET_TOL = 1e-9
 EIG_TOL = 1e-9
 NILPOTENT_TOL = 1e-8
+SPECTRAL_TOL = 1e-6
 MAX_SO_SIZE = 10
 
 
@@ -430,46 +431,97 @@ def _unit_rows(pts: np.ndarray):
     return u / np.where(n > 0, n, 1.0)[:, None], big * n
 
 
-def _ad_tags(L: MatrixLieAlgebra, u: np.ndarray) -> list:
-    """Tags of :func:`classify_element` for the unit rows u, all at once."""
-    d = L.dim
-    A = ad_matrix(L, u)
-    nil = np.linalg.norm(np.linalg.matrix_power(A, d), axis=(1, 2)) < NILPOTENT_TOL
-    eigs = np.sort(np.linalg.eigvals(A).astype(complex), axis=1)
-    tol = EIG_TOL * np.maximum(1.0, np.max(np.abs(eigs), axis=1, initial=0.0))[:, None]
-    # semisimple: the product of (A - lam), over the eigenvalues lam with no
-    # smaller one within 10 tol, vanishes relative to its factors' sizes
-    close = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= 10 * tol[:, :, None]
+def _spectra(L: MatrixLieAlgebra, pts: np.ndarray):
+    """The one spectral reading of a batch of points: the defining matrices
+    of the rows of pts scaled to unit Frobenius norm, their sorted
+    eigenvalues, and the masks of eigenvalues that are zero, real or
+    imaginary and of pairs that coincide, all within SPECTRAL_TOL."""
+    X = element_matrix(L, pts)
+    size = np.linalg.norm(X, axis=(1, 2))
+    X = X / np.where(size > 0, size, 1.0)[:, None, None]
+    lam = np.sort(np.linalg.eigvals(X).astype(complex), axis=1)
+    zero = np.abs(lam) <= SPECTRAL_TOL
+    real, imag = np.abs(lam.imag) <= SPECTRAL_TOL, np.abs(lam.real) <= SPECTRAL_TOL
+    close = np.abs(lam[:, :, None] - lam[:, None, :]) <= SPECTRAL_TOL
+    return X, lam, zero, real, imag, close
+
+
+def regular_signatures(L: MatrixLieAlgebra, pts: np.ndarray) -> list:
+    """Cartan signature (compact dim, split dim) of the centralizer of each
+    row of pts, None where the row is not regular semisimple, read off the
+    eigenvalues of the stacked defining matrices.  ``abelian(n)``: (0, n).
+    ``sl2R``, ``su(2,1)``: distinct eigenvalues; (rank, 0) when all are
+    imaginary, else (rank-1, 1).  ``so(p,q)``: distinct nonzero eigenvalues,
+    zero of multiplicity 1 (odd p+q) or 0 or 2 (even p+q); compact dim =
+    imaginary pairs + complex quadruples, split dim = real pairs + complex
+    quadruples, and a double zero adds its kernel plane (compact when the
+    form is definite on it)."""
+    if L.name.startswith("abelian("):
+        return [(0, L.dim)] * len(pts)
+    so = re.fullmatch(r"so\((\d+),(\d+)\)", L.name)
+    if not so and L.name not in ("sl2R", "su(2,1)"):
+        raise UnsupportedAlgebra(f"no Cartan signature rule for {L.name}")
+    X, lam, zero, real, imag, twin = _spectra(L, pts)
+    n = lam.shape[1]
+    regular = ~np.any(twin & ~np.eye(n, dtype=bool) & ~zero[:, :, None], axis=(1, 2))
+    n_zero = zero.sum(axis=1)
+    if not so:  # rank n - 1
+        regular &= n_zero <= 1
+        split = 1 - np.all(imag, axis=1)
+        compact = n - 1 - split
+    else:
+        regular &= np.isin(n_zero, (1,) if n % 2 else (0, 2))
+        quads = np.sum(~zero & ~imag & ~real, axis=1) // 4
+        compact = np.sum(~zero & imag, axis=1) // 2 + quads
+        split = np.sum(~zero & real, axis=1) // 2 + quads
+        plane = np.flatnonzero(regular & (n_zero == 2))
+        vt = np.linalg.svd(X[plane])[2]
+        eta = np.repeat([1.0, -1.0], [int(so.group(1)), int(so.group(2))])
+        definite = np.linalg.det(np.einsum("kin,n,kjn->kij", vt[:, -2:], eta, vt[:, -2:])) > 0
+        compact[plane] += definite
+        split[plane] += ~definite
+    return [(int(c), int(a)) if r else None for r, c, a in zip(regular, compact, split)]
+
+
+def _tags(L: MatrixLieAlgebra, u: np.ndarray):
+    """Tags of :func:`classify_element` for the nonzero rows u, all at
+    once, and their sorted spectra (of the unit-norm defining matrices)."""
+    X, lam, zero, real, imag, close = _spectra(L, u)
+    n, eye = L.matrix_size, np.eye(L.matrix_size)
+    nil = np.linalg.norm(np.linalg.matrix_power(X, n), axis=(1, 2)) < NILPOTENT_TOL
+    # semisimple: the product of (X - lam), over the eigenvalues lam that
+    # coincide with no earlier one, vanishes relative to its factors' sizes
     lead = ~np.any(np.tril(close, -1), axis=2)
-    P, size = np.eye(d, dtype=complex), np.ones(len(A))
-    for k in range(d):
-        F = np.where(lead[:, k, None, None], A - eigs[:, k, None, None] * np.eye(d), np.eye(d))
+    P, size = eye.astype(complex), np.ones(len(X))
+    for k in range(n):
+        F = np.where(lead[:, k, None, None], X - lam[:, k, None, None] * eye, eye)
         P = P @ F
         size *= np.where(lead[:, k], np.maximum(1.0, np.linalg.norm(F, axis=(1, 2))), 1.0)
     semisimple = np.linalg.norm(P, axis=(1, 2)) <= 1e-7 * size
-    nonzero = np.abs(eigs) > tol
-    real = np.all(~nonzero | (np.abs(eigs.imag) <= tol), axis=1)
-    imag = np.all(~nonzero | (np.abs(eigs.real) <= tol), axis=1)
-    return np.select([nil, ~semisimple, ~np.any(nonzero, axis=1), real, imag],
-                     ["Nilpotent", "Mixed", "Nilpotent", "Hyperbolic", "Elliptic"],
-                     "Mixed").tolist()
+    all_real, all_imag = np.all(zero | real, axis=1), np.all(zero | imag, axis=1)
+    tags = np.select([nil, ~semisimple, np.all(zero, axis=1), all_real, all_imag],
+                     ["Nilpotent", "Mixed", "Nilpotent", "Hyperbolic", "Elliptic"], "Mixed")
+    return tags.tolist(), lam
 
 
 def classify_element(L: MatrixLieAlgebra, xi) -> ElementClass:
-    """Classify a dual point by the ad-eigenstructure of its transport.
+    """Classify a dual point by the eigenstructure of its defining matrix.
 
     Returns Zero, Elliptic (semisimple, purely imaginary nonzero spectrum),
     Hyperbolic (semisimple real spectrum, not all zero), Nilpotent
-    (ad nilpotent, certified by the norm of ad^dim on the normalized
-    element), or Mixed.  The class is invariant under positive scaling and
-    under the coadjoint action.
+    (certified by the norm of X^n for the normalized n x n matrix X), or
+    Mixed.  The class is invariant under positive scaling and under the
+    coadjoint action; the summary lists the eigenvalues of the point's
+    defining matrix.
     """
     c = check_coords(L, xi)
     u, norm = _unit_rows(c[None])
     if norm[0] <= 1e-12:
         return ElementClass("Zero", ())
-    eigs = np.sort(np.linalg.eigvals(ad_matrix(L, c)).astype(complex))
-    return ElementClass(_ad_tags(L, u)[0], tuple((float(v.real), float(v.imag)) for v in eigs))
+    (tag,), lam = _tags(L, u)
+    # back from the unit-norm matrix to the point's own
+    lam = lam[0] * (norm[0] * np.linalg.norm(element_matrix(L, u[0])))
+    return ElementClass(tag, tuple((float(v.real), float(v.imag)) for v in lam))
 
 
 def sl2_casimir(xi):
@@ -485,14 +537,14 @@ def classify_batch(L: MatrixLieAlgebra, points: np.ndarray) -> np.ndarray:
     x^2+y^2-z^2 on the normalized point, calling values within 0.02 of
     zero Nilpotent; this matches :func:`classify_element` away from the
     band and gives sampling statistics a stable meaning near the cone.
-    Other algebras get the tags of :func:`classify_element` (stacked ad).
+    Other algebras get the tags of :func:`classify_element`.
     """
     u, norms = _unit_rows(np.atleast_2d(np.asarray(points, dtype=float)))
     out = np.full(len(u), "Zero", dtype=object)
     nz = norms > 1e-12
     if L.chart != "sl2":  # in chunks, which bounds the stacked temporaries
         live = u[nz]
-        out[nz] = [t for k in range(0, len(live), 1024) for t in _ad_tags(L, live[k:k + 1024])]
+        out[nz] = [t for k in range(0, len(live), 1024) for t in _tags(L, live[k:k + 1024])[0]]
     else:
         cas = sl2_casimir(u[nz])
         out[nz] = np.select([np.abs(cas) <= 0.02, cas > 0],

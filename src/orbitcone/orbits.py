@@ -5,7 +5,8 @@ x^2 + y^2 - z^2: one-sheeted hyperboloids (value nu^2 > 0), the two
 hyperboloid sheets (value -n^2, sign of z), the two nilpotent half-cones,
 and the origin.  Samplers place points exactly on these quadrics with
 near-uniform direction coverage, which is what asymptotic-cone extraction
-needs.  Other algebras sample orbits by random group transports.
+needs.  Induced cones on other algebras move points by random group
+transports instead (see ``induction``).
 
 Densities: the orbit symplectic form at xi is omega(ad*_X xi, ad*_Y xi)
 = -<xi, [X, Y]>.  The canonical density of a tangent frame is
@@ -33,10 +34,8 @@ from .liealg import (
     ad_matrix,
     bracket,
     check_coords,
-    classify_element,
     coadjoint_ad,
     pairing,
-    random_group_words,
 )
 
 GOLDEN = 0.6180339887498949
@@ -49,15 +48,12 @@ class OrbitParam:
     """A single coadjoint orbit.
 
     ``kind`` is one of the sl2 chart tags (hyp, ell+, ell-, nil+, nil-,
-    zero) with ``value`` the quadric parameter where applicable, or
-    ``point`` with ``base`` a chart point whose orbit is sampled by group
-    transports.
+    zero) with ``value`` the quadric parameter where applicable.
     """
 
     algebra: str
     kind: str
     value: float | None = None
-    base: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -236,40 +232,10 @@ def _sl2_branch_sampler(kind: str, value: float | None):
     raise UnsupportedAlgebra(f"unknown sl2 orbit kind {kind!r}")
 
 
-def _generic_branch_sampler(L: MatrixLieAlgebra, base: np.ndarray, conical: bool):
-    """Orbit sampling by random group transports of a base point.
-
-    Conical orbits (nilpotent base) are additionally scaled, since they are
-    stable under positive dilation; other orbits rely on transports alone
-    to spread norms.
-    """
-
-    base = np.asarray(base, dtype=float)
-
-    def sample(rng, radius, count):
-        nwords = min(max(32, count // 16), 256)
-        reach = max(1.0, np.log(max(radius, 2.0)))
-        words = random_group_words(L, nwords, rng, word_len=8, scale=reach / 4)
-        reps = int(np.ceil(count / nwords))
-        pts = np.repeat(words @ base, reps, axis=0)[:count]
-        if conical:
-            scales = _log_uniform(rng, radius, 2 * radius, len(pts))
-            norms = np.linalg.norm(pts, axis=1)
-            norms[norms < 1e-12] = 1.0
-            pts = pts * (scales / norms)[:, None]
-        return pts
-
-    return sample
-
-
 def orbit_branch(L: MatrixLieAlgebra, param: OrbitParam) -> FamilyBranch:
     if L.chart == "sl2" and param.kind in SL2_KINDS:
         label = param.kind if param.value is None else f"{param.kind}:{param.value:g}"
         return FamilyBranch(label, _sl2_branch_sampler(param.kind, param.value))
-    if param.kind == "point":
-        base = check_coords(L, param.base)
-        conical = classify_element(L, base).tag in ("Nilpotent", "Zero")
-        return FamilyBranch("point", _generic_branch_sampler(L, base, conical))
     raise UnsupportedAlgebra(
         f"orbit kind {param.kind!r} not available on {L.name}"
     )

@@ -171,6 +171,8 @@ def test_validation_errors_exit_2(tmp_path):
         ["measure-scan", "--orbit", "nil-:2"],
         # the zero orbit has no tangent space to scan
         ["measure-scan", "--orbit", "zero"],
+        # no orbit kind samples from a given point
+        ["orbit-sample", "--orbit", "point"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -184,12 +186,15 @@ def test_validation_errors_exit_2(tmp_path):
          "restrict-quadric-su21", "induce-quadric-so22", "induce-quadric-so3",
          "dual-no-generators", "blocks-junk", "blocks-missing-comma",
          "blocks-trailing-comma", "blocks-empty-block", "sigma-hyp-two-points",
-         "sigma-hyp-point-only", "nil-value", "scan-nil-value", "scan-zero-orbit"],
+         "sigma-hyp-point-only", "nil-value", "scan-nil-value", "scan-zero-orbit",
+         "orbit-point"],
 )
-def test_bad_input_exits_2_without_report(tmp_path, args):
+def test_bad_input_exits_2_without_report(tmp_path, capsys, args):
     code, _, out = run(args, tmp_path)
     assert code == 2
     assert not out.exists()  # no report, no side file, not even the directory
+    if args[-1] == "point":
+        assert "orbit kind 'point'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub", ["afile", "afile/below"])
@@ -326,6 +331,16 @@ def test_measure_scan_may_end_at_the_largest_radius(tmp_path):
     )
     assert code == 0
     assert rep["result"]["slope"] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("pair", ["so(2,2)|blocks[(1,1),(1,1)]", "sl2R|a"])
+def test_restriction_to_a_split_torus_is_obstructed(tmp_path, pair):
+    # every direction of q(Full) is a nonzero element of a split torus:
+    # hyperbolic, outside the closed elliptic set
+    code, rep, _ = run(["restrict", "--pair", pair, "--cone", "Full"], tmp_path)
+    assert code == 0
+    assert set(rep["result"]["class_counts"]) == {"Hyperbolic"}
+    assert rep["result"]["discretely_decomposable_obstructed"] is True
 
 
 def test_restrict_counts_match_restriction_class_counts(tmp_path):

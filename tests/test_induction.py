@@ -32,7 +32,6 @@ from orbitcone import induction
 from orbitcone.induction import (
     decomposability_obstructed,
     induced_cone_samples,
-    regular_signatures,
 )
 from orbitcone.liealg import (
     ad_matrix,
@@ -40,6 +39,7 @@ from orbitcone.liealg import (
     element_matrix,
     null_rows,
     random_group_words,
+    regular_signatures,
 )
 
 PAIR_SPECS = [

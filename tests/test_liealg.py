@@ -375,17 +375,14 @@ KNOWN = {
         (np.array([1.0, 0, 0, 0, 0, 0]), "Hyperbolic"),
         (np.array([0.0, -1, 0, 0, -1, -1]), "Mixed"),
     ],
-    "prod(so(1,1),so(1,1))": [  # ad vanishes on the centre
-        (np.array([1.0, 0.0]), "Nilpotent"),
-        (np.array([0.5, -2.0]), "Nilpotent"),
+    "prod(so(1,1),so(1,1))": [  # central boosts: a split torus
+        (np.array([1.0, 0.0]), "Hyperbolic"),
+        (np.array([0.5, -2.0]), "Hyperbolic"),
+    ],
+    "prod(sl2R,so(1,1))": [
+        (np.array([0.0, 0.5, -0.5, 1.0]), "Mixed"),  # (N, boost), boost central
     ],
 }
-
-
-# Not semisimple, yet 1.5-4% of their images under these words read as
-# semisimple: a Jordan block's eigenvalues split by about sqrt(eps) times the
-# growth of the word, past the cluster radius 10 * EIG_TOL of the test.
-HIDDEN_BY_WORDS = {("so(2,2)", 0), ("so(2,2)", 6), ("su(2,1)", 1)}
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN))
@@ -413,39 +410,56 @@ def test_classify_batch_equals_classify_element(name, data):
     assert list(classify_batch(L, pts)) == [classify_element(L, p).tag for p in pts]
 
 
+def _words_keep_the_constructed_classes(name, seed):
+    L = build_algebra(name)
+    words = random_group_words(L, 4, np.random.default_rng(seed), word_len=4, scale=0.3)
+    for p, tag in KNOWN[name]:
+        assert list(classify_batch(L, words @ p)) == [tag] * len(words)
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(KNOWN)), seed=st.integers(0, 2**32 - 1))
 def test_constructed_classes_are_invariant_under_group_words(name, seed):
-    L = build_algebra(name)
-    words = random_group_words(L, 4, np.random.default_rng(seed), word_len=4, scale=0.3)
-    for k, (p, tag) in enumerate(KNOWN[name]):
-        if (name, k) not in HIDDEN_BY_WORDS:
-            assert list(classify_batch(L, words @ p)) == [tag] * len(words)
+    _words_keep_the_constructed_classes(name, seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(name=st.sampled_from(sorted(KNOWN)), seed=st.integers(0, 2**32 - 1))
+def test_constructed_classes_are_invariant_under_many_group_words(name, seed):
+    _words_keep_the_constructed_classes(name, seed)
+
+
+def test_group_words_keep_the_classes_at_a_seed_the_ad_rule_failed():
+    # rounding splits the Jordan block of one image of the integer Mixed
+    # point wide enough here that a cluster radius of 1e-8 reads it Elliptic
+    _words_keep_the_constructed_classes("su(2,1)", 209249)
 
 
 def _reference_tag(L, c):
-    """The per-point classifier the batched one replaced, as a reference:
-    nilpotent when |(ad X/|X|)^dim| < 1e-8, then the squarefree minimal
-    polynomial test over greedily clustered eigenvalues."""
-    norm = np.linalg.norm(c)
-    if norm <= 1e-12:
+    """The classifier per point, as a reference: nilpotent when
+    |(X/|X|)^n| < 1e-8 for the n x n defining matrix X, then the squarefree
+    minimal polynomial test over greedily clustered eigenvalues."""
+    if np.linalg.norm(c) <= 1e-12:
         return "Zero"
-    A = ad_matrix(L, c) / norm
-    if np.linalg.norm(np.linalg.matrix_power(A, L.dim)) < 1e-8:
+    X = element_matrix(L, c / np.linalg.norm(c))
+    X = X / np.linalg.norm(X)
+    n = len(X)
+    if np.linalg.norm(np.linalg.matrix_power(X, n)) < 1e-8:
         return "Nilpotent"
-    eigs = np.linalg.eigvals(A)
-    tol = 1e-9 * max(1.0, np.max(np.abs(eigs)))
+    eigs = np.linalg.eigvals(X)
+    tol = 1e-6
     clusters = []
     for v in sorted(eigs, key=lambda z: (z.real, z.imag)):
         for cl in clusters:
-            if abs(v - cl[0]) <= 10 * tol:
+            if abs(v - cl[0]) <= tol:
                 cl.append(v)
                 break
         else:
             clusters.append([v])
-    P, size = np.eye(L.dim, dtype=complex), 1.0
+    P, size = np.eye(n, dtype=complex), 1.0
     for cl in clusters:
-        F = A - np.mean(cl) * np.eye(L.dim)
+        F = X - np.mean(cl) * np.eye(n)
         P, size = P @ F, size * max(1.0, np.linalg.norm(F))
     if np.linalg.norm(P) > 1e-7 * size:
         return "Mixed"
@@ -478,3 +492,24 @@ def test_classify_huge_point_does_not_overflow():
         "Hyperbolic", "Nilpotent"]
     rotation = KNOWN["so(3,1)"][0][0]
     assert classify_element(build_algebra("so(3,1)"), 1e300 * rotation).tag == "Elliptic"
+
+
+def test_classify_element_lists_the_defining_matrix_spectrum():
+    L = build_algebra("so(3,1)")
+    boost = 3.0 * KNOWN["so(3,1)"][1][0]
+    cls = classify_element(L, boost)
+    assert cls.tag == "Hyperbolic"
+    np.testing.assert_allclose(cls.eigen_summary, [(-3, 0), (0, 0), (0, 0), (3, 0)], atol=1e-12)
+
+
+def test_no_gaussian_point_with_a_spectrum_reads_nilpotent():
+    # |(X/|X|)^8| >= (spectral radius of X/|X|)^8, which is above 1e-8 when
+    # the radius is above 0.1
+    rng = np.random.default_rng(0)
+    for name in ("so(4,4)", "so(6,2)"):
+        L = build_algebra(name)
+        pts = rng.standard_normal((3000, L.dim))
+        X = element_matrix(L, pts)
+        radius = np.abs(np.linalg.eigvals(X)).max(axis=1) / np.linalg.norm(X, axis=(1, 2))
+        tags = classify_batch(L, pts[radius > 0.1])
+        assert "Nilpotent" not in set(tags), name

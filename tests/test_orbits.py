@@ -54,16 +54,12 @@ def test_samples_sit_on_the_quadric(sl2, param):
 
 @pytest.mark.parametrize("count", [1, 7, 1000])
 def test_every_sampler_returns_count_rows(sl2, count):
-    su21 = build_algebra("su(2,1)")
     branches = [orbit_branch(sl2, p) for p in PARAMS + [OrbitParam("sl2R", "zero")]]
     branches += [b for kind in ("hyp_union", "ell_union_plus", "ell_union_minus")
                  for b in union_family(sl2, kind).branches]
     rng = np.random.default_rng(0)
     for b in branches:
         assert b.sample(rng, 50.0, count).shape == (count, 3), b.label
-    for base in (np.eye(8)[0], np.zeros(8)):  # transported, conical
-        b = orbit_branch(su21, OrbitParam("su(2,1)", "point", base=base))
-        assert b.sample(rng, 50.0, count).shape == (count, 8), base
 
 
 def test_sl2_casimir_reads_the_last_axis():
