@@ -72,11 +72,9 @@ def representation(label: str) -> RepresentationSpec:
     sigma_disc(n,+|-), sigma_hyp(nu,+|-|+-), sigma_limit(+|-),
     sum_disc(+|-), L2_GK, L2_GA, tensor(n,s,m,s).
     """
-    s = label.strip().replace(":", "(", 1).replace(":", ",") if ":" in label else label.strip()
-    if ":" not in label and "(" not in s and s not in ("L2_GK", "L2_GA"):
-        raise UnsupportedAlgebra(f"unknown representation label {label!r}")
-    if "(" in s and not s.endswith(")"):
-        s += ")"
+    s = label.strip()
+    if ":" in s:  # name:a:b is name(a,b)
+        s = s.replace(":", "(", 1).replace(":", ",") + ")"
     L = build_algebra("sl2R")
     if s == "L2_GK":
         return RepresentationSpec("L2_GK", union_family(L, "hyp_union"))

@@ -66,7 +66,7 @@ from .induction import (
     saturation_is_full,
 )
 from .liealg import build_algebra, classify_element, sl2_casimir
-from .orbits import OrbitParam, density_ratio_F, orbit_sample
+from .orbits import OrbitParam, density_ratio_F, orbit_branch, orbit_sample
 from .tempered import bk_weak_containment
 
 CLAIMS = {
@@ -109,21 +109,16 @@ def _parse_radii(text: str):
     return vals
 
 
-def _parse_orbit(text: str) -> OrbitParam:
+def _parse_orbit(text: str, L) -> OrbitParam:
+    """The orbit of L named by ``kind`` or ``kind:value``, checked by
+    ``orbit_branch``."""
     kind, _, raw = text.partition(":")
     try:
-        value = float(raw) if raw != "" else None
+        param = OrbitParam(L.name, kind, float(raw) if raw != "" else None)
     except ValueError:
         raise OrbitConeError(f"cannot parse orbit value in {text!r}") from None
-    if value is not None and not np.isfinite(value):
-        raise OrbitConeError(f"orbit value must be finite, got {text!r}")
-    if kind in ("hyp", "ell+", "ell-") and value is None:
-        raise OrbitConeError(f"orbit kind {kind!r} needs a value, e.g. {kind}:1")
-    if kind in ("nil+", "nil-", "zero") and value is not None:
-        raise OrbitConeError(f"orbit kind {kind!r} takes no value, got {text!r}")
-    if kind in ("ell+", "ell-") and value <= 0:
-        raise OrbitConeError(f"elliptic orbit needs a positive value, got {text!r}")
-    return OrbitParam("sl2R", kind, value)
+    orbit_branch(L, param)
+    return param
 
 
 def _clean(obj):
@@ -225,7 +220,7 @@ def _orbit_points(L, param: OrbitParam, count: int, seed: int, radius: float):
 
 def _cmd_orbit_sample(args) -> _Run:
     L = build_algebra(args.algebra)
-    param = _parse_orbit(args.orbit)
+    param = _parse_orbit(args.orbit, L)
     pts = _orbit_points(L, param, args.samples, args.seed, args.radius)
     inv = sl2_casimir(pts[:16]) if L.chart == "sl2" else []
     return _Run(
@@ -390,7 +385,7 @@ def _cmd_measure_scan(args) -> _Run:
             f"measure-scan needs --samples of at least 2 to fit a slope, got {args.samples}"
         )
     L = build_algebra(args.algebra)
-    param = _parse_orbit(args.orbit)
+    param = _parse_orbit(args.orbit, L)
     if param.kind == "zero":
         raise OrbitConeError("measure-scan needs a nonzero orbit: the zero orbit is one point")
     base = param.value or 1.0

@@ -233,12 +233,23 @@ def _sl2_branch_sampler(kind: str, value: float | None):
 
 
 def orbit_branch(L: MatrixLieAlgebra, param: OrbitParam) -> FamilyBranch:
-    if L.chart == "sl2" and param.kind in SL2_KINDS:
-        label = param.kind if param.value is None else f"{param.kind}:{param.value:g}"
-        return FamilyBranch(label, _sl2_branch_sampler(param.kind, param.value))
-    raise UnsupportedAlgebra(
-        f"orbit kind {param.kind!r} not available on {L.name}"
-    )
+    """The sampler of one orbit of L.  ``hyp`` needs a finite value,
+    ``ell+`` and ``ell-`` a finite positive one; ``nil+``, ``nil-`` and
+    ``zero`` take none."""
+    kind, value = param.kind, param.value
+    if param.algebra != L.name:
+        raise UnsupportedAlgebra(f"an orbit of {param.algebra} is not an orbit of {L.name}")
+    if L.chart != "sl2" or kind not in SL2_KINDS:
+        raise UnsupportedAlgebra(f"orbit kind {kind!r} not available on {L.name}")
+    if kind in ("nil+", "nil-", "zero"):
+        if value is not None:
+            raise UnsupportedAlgebra(f"orbit kind {kind!r} takes no value, got {value:g}")
+    elif value is None or not np.isfinite(value):
+        raise UnsupportedAlgebra(f"orbit kind {kind!r} needs a finite value, got {value}")
+    elif kind != "hyp" and value <= 0:
+        raise UnsupportedAlgebra(f"orbit kind {kind!r} needs a positive value, got {value:g}")
+    label = kind if value is None else f"{kind}:{value:g}"
+    return FamilyBranch(label, _sl2_branch_sampler(kind, value))
 
 
 def orbit_family(L: MatrixLieAlgebra, params) -> PointFamily:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitcone import (
     GOLDEN_ROWS,
@@ -25,6 +27,32 @@ def test_label_forms_are_equivalent():
     assert a.label == b.label == "sigma_disc(3,+)"
     assert representation("L2_GK").label == "L2_GK"
     assert representation("sigma_hyp:0.5:+-").label == "sigma_hyp(0.5,+-)"
+
+
+SIGNS = st.sampled_from("+-")
+
+
+@st.composite
+def _label_args(draw):
+    """A label family and its arguments, n, m >= 1."""
+    n, m = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    return draw(st.sampled_from([
+        ("sigma_disc", [str(n), draw(SIGNS)]),
+        ("sigma_hyp", [str(n), draw(st.sampled_from(["+", "-", "+-"]))]),
+        ("sum_disc", [draw(SIGNS)]),
+        ("tensor", [str(n), draw(SIGNS), str(m), draw(SIGNS)]),
+    ]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=_label_args())
+def test_paren_and_colon_labels_agree(label):
+    name, args = label
+    spec = representation(f"{name}({','.join(args)})")
+    assert representation(":".join([name, *args])).label == spec.label
+    assert representation(spec.label).label == spec.label
+    with pytest.raises(UnsupportedAlgebra):
+        representation(spec.label[:-1])
 
 
 def test_bad_labels_rejected():

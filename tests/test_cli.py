@@ -173,6 +173,10 @@ def test_validation_errors_exit_2(tmp_path):
         ["measure-scan", "--orbit", "zero"],
         # no orbit kind samples from a given point
         ["orbit-sample", "--orbit", "point"],
+        # catalog labels whose parentheses do not balance
+        ["ac", "--rep", "sigma_disc(3,+"],
+        ["ac", "--rep", "sigma_disc:3:+)"],
+        ["ac", "--rep", "tensor(3,+,2,-"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -187,7 +191,7 @@ def test_validation_errors_exit_2(tmp_path):
          "dual-no-generators", "blocks-junk", "blocks-missing-comma",
          "blocks-trailing-comma", "blocks-empty-block", "sigma-hyp-two-points",
          "sigma-hyp-point-only", "nil-value", "scan-nil-value", "scan-zero-orbit",
-         "orbit-point"],
+         "orbit-point", "label-unclosed", "label-colon-closed", "tensor-unclosed"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, capsys, args):
     code, _, out = run(args, tmp_path)

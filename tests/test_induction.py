@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from orbitcone import (
     MatrixLieAlgebra,
     build_algebra,
-    cartan_classes,
+    cartan_signatures,
     classify_batch,
     cone_directions,
     diagonal_embedding,
@@ -28,8 +28,8 @@ from orbitcone.errors import (
     NonCommuting,
     UnsupportedAlgebra,
 )
-from orbitcone import induction
 from orbitcone.induction import (
+    MAX_CARTAN_SIZE,
     decomposability_obstructed,
     induced_cone_samples,
 )
@@ -37,6 +37,7 @@ from orbitcone.liealg import (
     ad_matrix,
     bracket,
     element_matrix,
+    matrix_coords,
     null_rows,
     random_group_words,
     regular_signatures,
@@ -134,6 +135,12 @@ def test_annihilator_dims():
     assert diagonal_embedding("sl2R").complement_q.shape[0] == 3
 
 
+@pytest.mark.parametrize("spec", ["sl2R|so(2)", "sl(2,R)|so(2)", "pair(sl(2,R), so(2,0))"])
+def test_every_spelling_of_sl2R_takes_the_so2_alias(spec):
+    E = pair_embedding(spec)
+    assert E.name == "pair(sl2R, so(2))" and E.sub.name == "so(2,0)"
+
+
 def test_annihilator_is_killed_by_q(embedding):
     E = embedding
     for g in np.vstack([E.complement_q, -E.complement_q]):
@@ -219,15 +226,13 @@ CARTAN_COUNTS = [
 def test_cartan_class_enumeration(name, signatures):
     if not isinstance(name, str):
         pytest.skip("id row")
-    L = build_algebra(name)
-    classes = cartan_classes(L)
-    assert {c.signature for c in classes} == signatures
+    assert set(cartan_signatures(build_algebra(name))) == signatures
 
 
 def test_cartan_enumeration_agrees_with_random_search():
     for name in ("so(2,2)", "su(2,1)"):
         L = build_algebra(name)
-        enumerated = {c.signature for c in cartan_classes(L)}
+        enumerated = set(cartan_signatures(L))
         x = np.random.default_rng(11).standard_normal((300, L.dim))
         found = set(regular_signatures(L, x)) - {None}
         assert found <= enumerated
@@ -296,16 +301,118 @@ def cartan_signature(L: MatrixLieAlgebra, gens) -> tuple[int, int]:
     raise NonCommuting("no regular element found in the span")
 
 
+# Independent reference for the Cartan classes: one Cartan subalgebra per
+# class, given by explicit rows and checked with the ad-root reference.
+
+
+class CartanRep(NamedTuple):
+    label: str
+    signature: tuple[int, int]  # (compact dim, split dim)
+    generators: np.ndarray  # rows, chart coordinates
+
+
+def _so_representatives(p: int, q: int) -> list[CartanRep]:
+    """so(p,q): a rotations of + index pairs, b rotations of - index pairs,
+    rs boosts of (+, -) index pairs and rm mixed blocks (a rotation pair and
+    a boost pair on two + and two - indices), a + b + rs + 2 rm = n // 2;
+    the first choice of each signature, compact dimension falling."""
+    n = p + q
+    L = build_algebra(f"so({p},{q})")
+
+    def rot(i, j):
+        m = np.zeros((n, n))
+        m[i, j], m[j, i] = 1.0, -1.0
+        return m
+
+    def boost(i, j):
+        m = np.zeros((n, n))
+        m[i, j], m[j, i] = 1.0, 1.0
+        return m
+
+    out = {}
+    for a in range(p // 2 + 1):
+        for b in range(q // 2 + 1):
+            for rs in range(min(p, q) + 1):
+                for rm in range(min(p, q) // 2 + 1):
+                    if 2 * a + rs + 2 * rm > p or 2 * b + rs + 2 * rm > q:
+                        continue
+                    sig = (a + b + rm, rs + rm)
+                    if a + b + rs + 2 * rm != n // 2 or sig in out:
+                        continue
+                    pi, qi = iter(range(p)), iter(range(p, n))
+                    mats = [rot(next(pi), next(pi)) for _ in range(a)]
+                    mats += [rot(next(qi), next(qi)) for _ in range(b)]
+                    mats += [boost(next(pi), next(qi)) for _ in range(rs)]
+                    for _ in range(rm):
+                        c1, c2, d1, d2 = next(pi), next(pi), next(qi), next(qi)
+                        mats += [rot(c1, c2) + rot(d1, d2), boost(c1, d1) + boost(c2, d2)]
+                    label = f"a={a},b={b},split={rs},mixed={rm}"
+                    out[sig] = CartanRep(label, sig, matrix_coords(L, np.array(mats)))
+    return [out[s] for s in sorted(out, reverse=True)]
+
+
+def cartan_representatives(L: MatrixLieAlgebra) -> list[CartanRep]:
+    if L.name == "sl2R":
+        return [
+            CartanRep("compact", (1, 0), np.array([[0.0, 0.0, 1.0]])),
+            CartanRep("split", (0, 1), np.array([[1.0, 0.0, 0.0]])),
+        ]
+    if L.name == "su(2,1)":
+        e = np.eye(8)
+        return [
+            CartanRep("compact", (2, 0), np.array([e[6], e[7]])),
+            CartanRep("split", (1, 1), np.array([e[0], e[6] - e[7]])),
+        ]
+    if L.name.startswith("abelian("):
+        return [CartanRep("itself", (0, L.dim), np.eye(L.dim))]
+    p, q = map(int, re.fullmatch(r"so\((\d+),(\d+)\)", L.name).groups())
+    return _so_representatives(p, q)
+
+
+def check_representatives(L: MatrixLieAlgebra, reps: list[CartanRep]) -> None:
+    """Fail unless reps hold one Cartan subalgebra per class of L, in the
+    order of cartan_signatures: each has sum(signature) independent rows
+    that span their joint centralizer (so they are maximal abelian), and
+    the ad-root reference reads its signature."""
+    for label, sig, g in reps:
+        k = sum(sig)
+        assert len(g) == k and not null_rows(g.T).shape[0], (
+            f"{label}: rows are not {k} independent vectors"
+        )
+        cent = null_rows(ad_matrix(L, g).reshape(-1, L.dim), rtol=1e-10)
+        assert cent.shape[0] == k, f"{label}: representative is not maximal abelian"
+        assert cartan_signature(L, g) == sig, f"signature check failed for {label}"
+    sigs = [rep.signature for rep in reps]
+    assert len(set(sigs)) == len(sigs), "representatives are not pairwise distinct"
+    assert sigs == cartan_signatures(L)
+
+
+CARTAN_SWEEP = ["sl2R", "su(2,1)", "abelian(3)"] + [
+    f"so({p},{n - p})" for n in range(2, MAX_CARTAN_SIZE + 1) for p in range(n + 1)
+]
+
+
+@pytest.mark.parametrize("name", CARTAN_SWEEP)
+def test_cartan_signatures_have_representatives(name):
+    L = build_algebra(name)
+    check_representatives(L, cartan_representatives(L))
+
+
+def test_cartan_signatures_stop_at_the_catalog_size():
+    with pytest.raises(UnsupportedAlgebra, match=re.escape("stops at p+q <= 8")):
+        cartan_signatures(build_algebra("so(5,4)"))
+    with pytest.raises(UnsupportedAlgebra, match="no Cartan catalog"):
+        cartan_signatures(build_algebra("prod(sl2R,sl2R)"))
+
+
 def _last_row(rep, row):
-    gens = rep.generators.copy()
-    gens[-1] = row
-    return replace(rep, generators=gens)
+    return rep._replace(generators=np.vstack([rep.generators[:-1], row]))
 
 
-# each mutation of the so(4,4) catalog and the check that must reject it
+# each mutation of the so(4,4) representatives and the check that must reject it
 CATALOG_MUTATIONS = {
     "swapped signature": (
-        lambda reps: [reps[0], replace(reps[1], signature=reps[1].signature[::-1]), *reps[2:]],
+        lambda reps: [reps[0], reps[1]._replace(signature=reps[1].signature[::-1]), *reps[2:]],
         "signature check failed",
     ),
     "non-commuting row": (
@@ -325,12 +432,11 @@ CATALOG_MUTATIONS = {
 
 
 @pytest.mark.parametrize("mutation", CATALOG_MUTATIONS)
-def test_cartan_catalog_rejects_a_mutated_representative(monkeypatch, mutation):
+def test_cartan_catalog_rejects_a_mutated_representative(mutation):
     mutate, message = CATALOG_MUTATIONS[mutation]
-    original = induction._so_cartan_classes
-    monkeypatch.setattr(induction, "_so_cartan_classes", lambda p, q: mutate(original(p, q)))
-    with pytest.raises(UnsupportedAlgebra, match=message):
-        cartan_classes(build_algebra("so(4,4)"))
+    L = build_algebra("so(4,4)")
+    with pytest.raises(AssertionError, match=message):
+        check_representatives(L, mutate(cartan_representatives(L)))
 
 
 def test_cartan_signature_requires_commuting_span():

@@ -14,7 +14,7 @@ from orbitcone import (
     tangent_basis,
     union_family,
 )
-from orbitcone.errors import ZeroPoint
+from orbitcone.errors import UnsupportedAlgebra, ZeroPoint
 from orbitcone.liealg import element_matrix, random_group_words
 from orbitcone.orbits import orbit_branch
 
@@ -50,6 +50,24 @@ def test_samples_sit_on_the_quadric(sl2, param):
         assert np.all(pts[:, 2] > 0)
     if param.kind.endswith("-"):
         assert np.all(pts[:, 2] < 0)
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        # a negative value would sample the ell- sheet, zero gives NaN points
+        (OrbitParam("sl2R", "ell+", -1.0), "needs a positive value"),
+        (OrbitParam("sl2R", "ell+", 0.0), "needs a positive value"),
+        (OrbitParam("sl2R", "hyp"), "needs a finite value"),
+        (OrbitParam("sl2R", "hyp", float("nan")), "needs a finite value"),
+        (OrbitParam("sl2R", "nil+", 5.0), "takes no value"),
+        (OrbitParam("so(2,1)", "hyp", 1.0), "not an orbit of sl2R"),
+    ],
+    ids=["ell-negative", "ell-zero", "hyp-no-value", "hyp-nan", "nil-value", "other-algebra"],
+)
+def test_orbit_branch_rejects_a_bad_param(sl2, param, message):
+    with pytest.raises(UnsupportedAlgebra, match=message):
+        orbit_sample(sl2, param, 10)
 
 
 @pytest.mark.parametrize("count", [1, 7, 1000])
