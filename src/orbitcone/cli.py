@@ -304,9 +304,7 @@ def _cmd_restrict(args) -> _Run:
                 f"representation lives over {spec.orbital_support.algebra}, "
                 f"embedding ambient is {E.ambient.name}"
             )
-        C = wavefront_of(
-            spec, seed=args.seed, samples_per_radius=min(args.samples, 6000)
-        )
+        C = wavefront_of(spec, seed=args.seed, samples_per_radius=args.samples)
     else:
         raise OrbitConeError("restrict needs --cone or --rep")
     bound = restriction_lower_bound(E, C, seed=args.seed)

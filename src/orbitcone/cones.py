@@ -8,7 +8,7 @@ names exist only on sl2-chart algebras.  ``polyhedral`` cones carry
 generator rays.
 ``sampled`` cones are finite sets of unit directions at the one angular
 resolution ``RESOLUTION``; ``direction_cone`` makes one from any point
-cloud (asymptotic cones, induced cones, restriction bounds).
+cloud (asymptotic cones, unions, induced cones, restriction bounds).
 
 The asymptotic cone of a set S collects limits of directions of unbounded
 sequences in S.  Numerically: sample the family at several radii, keep the
@@ -246,26 +246,12 @@ def cone_equal(
 
 
 def cone_union(cones) -> ConeDescription:
-    """Union of cones over a common algebra.
-
-    Exact unions are kept exact when the catalog has a name for them
-    (the two nilpotent half-cones join to N, anything containing Full is
-    Full); otherwise the union is a merged sampled cone.
-    """
-    cones = [c for c in cones if not (c.kind == "exact" and c.name == "Zero")]
+    """Union of cones over a common algebra: the direction cone of their
+    merged direction samples (the Zero cone when none has a direction)."""
     if not cones:
         raise EmptyFamily("union of no cones")
     algebra, dim = cones[0].algebra, cones[0].dim
-    names = {c.name for c in cones if c.kind == "exact"}
-    if "Full" in names:
-        return exact_cone("Full", algebra, dim)
-    if len(names) == len(cones):
-        if names == {"Nplus", "Nminus"}:
-            return exact_cone("N", algebra, dim)
-        if len(names) == 1:
-            return exact_cone(names.pop(), algebra, dim)
-    dirs = np.vstack([cone_directions(c) for c in cones])
-    return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
+    return direction_cone(np.vstack([cone_directions(c) for c in cones]), algebra, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .liealg import (
 )
 
 BRACKET_TOL = 1e-12
-MAX_CARTAN_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +310,6 @@ def cartan_signatures(L: MatrixLieAlgebra) -> list[tuple[int, int]]:
     if not m:
         raise UnsupportedAlgebra(f"no Cartan catalog for {L.name}")
     p, q = int(m.group(1)), int(m.group(2))
-    if p + q > MAX_CARTAN_SIZE:
-        raise UnsupportedAlgebra(f"Cartan catalog stops at p+q <= {MAX_CARTAN_SIZE}")
     lo = 1 if p % 2 and q % 2 else 0
     return [((p + q) // 2 - s, s) for s in range(lo, min(p, q) + 1)]
 

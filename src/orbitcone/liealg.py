@@ -110,78 +110,6 @@ def _coord_stack(L: MatrixLieAlgebra, x) -> np.ndarray:
 # construction
 
 
-def _basis_matrix_names(kind, *args):
-    """Return (matrices, names, split rows, chart) for one primitive algebra."""
-    if kind == "sl2R":
-        ex = np.array([[1.0, 0.0], [0.0, -1.0]])
-        ey = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ez = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return [ex, ey, ez], ["x", "y", "z"], [[1.0, 0.0, 0.0]], "sl2"
-    if kind == "so":
-        p, q = args
-        n = p + q
-        if n > MAX_SO_SIZE:
-            raise DimensionTooLarge(f"so({p},{q}) needs {n} > {MAX_SO_SIZE} rows")
-        eps = [1.0] * p + [-1.0] * q
-        boosts, rot_p, rot_q, names_b, names_p, names_q = [], [], [], [], [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = np.zeros((n, n))
-                if eps[i] == eps[j]:
-                    m[i, j], m[j, i] = 1.0, -1.0
-                    (rot_p if eps[i] > 0 else rot_q).append(m)
-                    (names_p if eps[i] > 0 else names_q).append(f"r{i + 1}{j + 1}")
-                else:
-                    m[i, j], m[j, i] = 1.0, 1.0
-                    boosts.append(m)
-                    names_b.append(f"b{i + 1}{j + 1}")
-        mats = boosts + rot_p + rot_q
-        names = names_b + names_p + names_q
-        dim = len(mats)
-        # split part: commuting boosts pairing the k-th positive index with
-        # the k-th negative index, k <= min(p,q)
-        split = []
-        for k in range(min(p, q)):
-            row = [0.0] * dim
-            row[names.index(f"b{k + 1}{p + k + 1}")] = 1.0
-            split.append(row)
-        chart = "sl2" if (p, q) == (2, 1) else None
-        return mats, names, split, chart
-    if kind == "su21":
-        J = np.diag([1.0, 1.0, -1.0]).astype(complex)
-
-        def E(i, j):
-            m = np.zeros((3, 3), dtype=complex)
-            m[i, j] = 1.0
-            return m
-
-        b13 = E(0, 2) + E(2, 0)
-        b23 = E(1, 2) + E(2, 1)
-        r12 = E(0, 1) - E(1, 0)
-        a13 = 1j * (E(0, 2) - E(2, 0))
-        a23 = 1j * (E(1, 2) - E(2, 1))
-        s12 = 1j * (E(0, 1) + E(1, 0))
-        d1 = np.diag([1j, -1j, 0.0])
-        d2 = np.diag([0.0, 1j, -1j])
-        mats = [b13, b23, r12, a13, a23, s12, d1, d2]
-        for m in mats:  # defining relations, checked at build time
-            assert np.max(np.abs(m.conj().T @ J + J @ m)) < 1e-14
-            assert abs(np.trace(m)) < 1e-14
-        names = ["b13", "b23", "r12", "a13", "a23", "s12", "d1", "d2"]
-        split = [[1.0] + [0.0] * 7]
-        return mats, names, split, None
-    if kind == "abelian":
-        (n,) = args
-        mats = [np.diag([1.0 if k == i else 0.0 for k in range(n)]) for i in range(n)]
-        names = [f"a{i + 1}" for i in range(n)]
-        split = np.eye(n).tolist()
-        return mats, names, split, None
-    if kind == "split1":
-        # one-dimensional split line inside 2x2 matrices (diagonal Cartan)
-        return [np.array([[1.0, 0.0], [0.0, -1.0]])], ["h"], [[1.0]], None
-    raise UnsupportedAlgebra(f"unknown algebra kind {kind!r}")
-
-
 def split_args(s: str):
     """Split a comma-separated argument list at parenthesis and bracket
     depth zero."""
@@ -201,33 +129,64 @@ def split_args(s: str):
     return parts
 
 
-def _parse_primitive(spec: str):
-    s = spec.strip()
+def _primitive(s: str):
+    """(canonical name, basis matrices, basis names, split rows, chart) of
+    one stripped primitive algebra spec."""
     if s in ("sl2R", "sl2r", "sl(2,R)", "sl(2,r)"):
-        return ("sl2R",)
+        basis = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                          [[0.0, -1.0], [1.0, 0.0]]])
+        return "sl2R", basis, ["x", "y", "z"], np.eye(3)[:1], "sl2"
     if s in ("su(2,1)", "su21"):
-        return ("su21",)
+        J = np.diag([1.0, 1.0, -1.0]).astype(complex)
+
+        def E(i, j):
+            m = np.zeros((3, 3), dtype=complex)
+            m[i, j] = 1.0
+            return m
+
+        b13 = E(0, 2) + E(2, 0)
+        b23 = E(1, 2) + E(2, 1)
+        r12 = E(0, 1) - E(1, 0)
+        a13 = 1j * (E(0, 2) - E(2, 0))
+        a23 = 1j * (E(1, 2) - E(2, 1))
+        s12 = 1j * (E(0, 1) + E(1, 0))
+        d1 = np.diag([1j, -1j, 0.0])
+        d2 = np.diag([0.0, 1j, -1j])
+        basis = np.array([b13, b23, r12, a13, a23, s12, d1, d2])
+        for m in basis:  # defining relations, checked at build time
+            assert np.max(np.abs(m.conj().T @ J + J @ m)) < 1e-14
+            assert abs(np.trace(m)) < 1e-14
+        names = ["b13", "b23", "r12", "a13", "a23", "s12", "d1", "d2"]
+        return "su(2,1)", basis, names, np.eye(8)[:1], None
     if s in ("a", "split"):
-        return ("split1",)
-    m = re.fullmatch(r"so\((\d+),(\d+)\)", s)
-    if m:
-        return ("so", int(m.group(1)), int(m.group(2)))
+        # one-dimensional split line inside 2x2 matrices (diagonal Cartan)
+        return "a", np.array([[[1.0, 0.0], [0.0, -1.0]]]), ["h"], np.eye(1), None
     m = re.fullmatch(r"abelian\((\d+)\)", s)
     if m:
-        return ("abelian", int(m.group(1)))
-    raise UnsupportedAlgebra(f"cannot parse algebra spec {spec!r}")
-
-
-def _block_diag(mats, sizes, offset):
-    """Embed each matrix at a diagonal offset inside sum(sizes) rows."""
-    n = sum(sizes)
-    out = []
-    for m in mats:
-        big = np.zeros((n, n), dtype=complex if np.iscomplexobj(m) else float)
-        k = m.shape[0]
-        big[offset : offset + k, offset : offset + k] = m
-        out.append(big)
-    return out
+        n = int(m.group(1))
+        basis, d = np.zeros((n, n, n)), np.arange(n)
+        basis[d, d, d] = 1.0
+        return f"abelian({n})", basis, [f"a{i + 1}" for i in d], np.eye(n), None
+    m = re.fullmatch(r"so\((\d+),(\d+)\)", s)
+    if not m:
+        raise UnsupportedAlgebra(f"cannot parse algebra spec {s!r}")
+    p, q = int(m.group(1)), int(m.group(2))
+    n = p + q
+    if n > MAX_SO_SIZE:
+        raise DimensionTooLarge(f"so({p},{q}) needs {n} > {MAX_SO_SIZE} rows")
+    # boosts (i < p <= j) first, then rotations among the p plus indices,
+    # then among the q minus indices, each in lexicographic order
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs.sort(key=lambda ij: (ij[1] < p) + 2 * (ij[0] >= p))
+    basis, names = np.zeros((len(pairs), n, n)), []
+    for k, (i, j) in enumerate(pairs):
+        boost = i < p <= j
+        basis[k, i, j], basis[k, j, i] = 1.0, 1.0 if boost else -1.0
+        names.append(f"{'b' if boost else 'r'}{i + 1}{j + 1}")
+    # split part: the commuting boosts b_{k+1, p+k+1}, k < min(p, q), which
+    # sit at k (q + 1) among the boosts
+    split = np.eye(len(pairs))[[k * (q + 1) for k in range(min(p, q))]]
+    return f"so({p},{q})", basis, names, split, "sl2" if (p, q) == (2, 1) else None
 
 
 def _flatten(m) -> np.ndarray:
@@ -251,37 +210,6 @@ def structure_constants(basis, flat_pinv) -> np.ndarray:
     return c
 
 
-def trace_gram(basis) -> np.ndarray:
-    dim = len(basis)
-    g = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            g[i, j] = g[j, i] = np.trace(basis[i] @ basis[j]).real
-    return g
-
-
-def _assemble(name, mats, names, split, chart) -> MatrixLieAlgebra:
-    mats = np.stack(mats) if mats else np.zeros((0, 0, 0))
-    flat = _flatten(mats).T
-    pinv = np.linalg.pinv(flat)
-    c = structure_constants(mats, pinv)
-    g = trace_gram(mats)
-    if abs(np.linalg.det(g)) <= GRAM_DET_TOL:  # det of the 0 x 0 form is 1
-        raise DegenerateForm(f"trace form of {name} is singular")
-    split_arr = np.asarray(split, dtype=float).reshape(len(split), len(mats))
-    return MatrixLieAlgebra(
-        name=name,
-        basis=mats,
-        basis_names=tuple(names),
-        structure=c,
-        gram=g,
-        split_coords=split_arr,
-        flat_basis=flat,
-        flat_pinv=pinv,
-        chart=chart,
-    )
-
-
 @lru_cache(maxsize=None)
 def build_algebra(spec: str) -> MatrixLieAlgebra:
     """Build a supported algebra from its specification string.
@@ -296,33 +224,36 @@ def build_algebra(spec: str) -> MatrixLieAlgebra:
         if not parts:
             raise UnsupportedAlgebra("empty product")
         factors = [build_algebra(p) for p in parts]
-        sizes = [f.matrix_size for f in factors]
-        mats, names, split = [], [], []
-        dim_total = sum(f.dim for f in factors)
-        off_rows, off_dim = 0, 0
+        dim, size = sum(f.dim for f in factors), sum(f.matrix_size for f in factors)
+        basis = np.zeros((dim, size, size), np.result_type(*(f.basis for f in factors)))
+        split = np.zeros((sum(len(f.split_coords) for f in factors), dim))
+        names, d, r, n = [], 0, 0, 0
         for k, f in enumerate(factors):
-            mats.extend(_block_diag(list(f.basis), sizes, off_rows))
-            names.extend(f"f{k + 1}.{nm}" for nm in f.basis_names)
-            for row in f.split_coords:
-                full = np.zeros(dim_total)
-                full[off_dim : off_dim + f.dim] = row
-                split.append(full)
-            off_rows += sizes[k]
-            off_dim += f.dim
-        canonical = "prod(" + ",".join(f.name for f in factors) + ")"
-        return _assemble(canonical, mats, names, split, None)
-    kind = _parse_primitive(s)
-    mats, names, split, chart = _basis_matrix_names(*kind)
-    canonical = {
-        "sl2R": "sl2R",
-        "su21": "su(2,1)",
-        "split1": "a",
-    }.get(kind[0], None)
-    if canonical is None:
-        canonical = (
-            f"so({kind[1]},{kind[2]})" if kind[0] == "so" else f"abelian({kind[1]})"
-        )
-    return _assemble(canonical, mats, names, split, chart)
+            basis[d:d + f.dim, n:n + f.matrix_size, n:n + f.matrix_size] = f.basis
+            split[r:r + len(f.split_coords), d:d + f.dim] = f.split_coords
+            names += [f"f{k + 1}.{nm}" for nm in f.basis_names]
+            d, r, n = d + f.dim, r + len(f.split_coords), n + f.matrix_size
+        name, chart = "prod(" + ",".join(f.name for f in factors) + ")", None
+    else:
+        name, basis, names, split, chart = _primitive(s)
+    if not len(basis):  # no basis element (so(1,0) too): 0 x 0 matrices
+        basis = np.zeros((0, 0, 0))
+    flat = _flatten(basis).T
+    pinv = np.linalg.pinv(flat)
+    gram = np.einsum("iab,jba->ij", basis, basis).real
+    if abs(np.linalg.det(gram)) <= GRAM_DET_TOL:  # det of the 0 x 0 form is 1
+        raise DegenerateForm(f"trace form of {name} is singular")
+    return MatrixLieAlgebra(
+        name=name,
+        basis=basis,
+        basis_names=tuple(names),
+        structure=structure_constants(basis, pinv),
+        gram=gram,
+        split_coords=split,
+        flat_basis=flat,
+        flat_pinv=pinv,
+        chart=chart,
+    )
 
 
 # ---------------------------------------------------------------------------

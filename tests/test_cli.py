@@ -177,6 +177,8 @@ def test_validation_errors_exit_2(tmp_path):
         ["ac", "--rep", "sigma_disc(3,+"],
         ["ac", "--rep", "sigma_disc:3:+)"],
         ["ac", "--rep", "tensor(3,+,2,-"],
+        # a representation over another algebra than the pair's ambient
+        ["restrict", "--pair", "su(2,1)|so(2,1)", "--rep", "L2_GK"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -191,7 +193,8 @@ def test_validation_errors_exit_2(tmp_path):
          "dual-no-generators", "blocks-junk", "blocks-missing-comma",
          "blocks-trailing-comma", "blocks-empty-block", "sigma-hyp-two-points",
          "sigma-hyp-point-only", "nil-value", "scan-nil-value", "scan-zero-orbit",
-         "orbit-point", "label-unclosed", "label-colon-closed", "tensor-unclosed"],
+         "orbit-point", "label-unclosed", "label-colon-closed", "tensor-unclosed",
+         "restrict-rep-ambient"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, capsys, args):
     code, _, out = run(args, tmp_path)
@@ -266,6 +269,18 @@ def test_inconclusive_exits_3(tmp_path, monkeypatch):
     )
     assert code == 3
     assert rep["result"]["verdict"] == "unknown"
+
+
+def test_saturation_reaches_so54(tmp_path):
+    # the complement of so(5)+so(4) is the boosts: every regular element
+    # of it lies in the split Cartan class (0, 4), so the search runs out
+    code, rep, _ = run(
+        ["saturation", "--pair", "so(5,4)|blocks[(5,0),(0,4)]", "--samples", "2000"], tmp_path
+    )
+    assert code == 3
+    assert rep["result"]["verdict"] == "unknown"
+    assert rep["certificates"]["draws"] == 2048
+    assert list(rep["certificates"]["witnesses"]) == ["(0, 4)"]
 
 
 def test_tempered_non_integral_weights_exits_2(tmp_path, monkeypatch, capsys):
@@ -345,6 +360,27 @@ def test_restriction_to_a_split_torus_is_obstructed(tmp_path, pair):
     assert code == 0
     assert set(rep["result"]["class_counts"]) == {"Hyperbolic"}
     assert rep["result"]["discretely_decomposable_obstructed"] is True
+
+
+@pytest.mark.parametrize("pair,rep,classes,obstructed", [
+    ("sl2R|a", "sigma_disc:3:+", {"Hyperbolic"}, True),
+    ("sl2R|so(2)", "L2_GK", {"Elliptic"}, False),
+])
+def test_restrict_rep_runs_its_reported_samples(
+    tmp_path, monkeypatch, pair, rep, classes, obstructed
+):
+    calls, wavefront_of = [], cli.wavefront_of
+
+    def recorded(spec, **kw):
+        calls.append(kw["samples_per_radius"])
+        return wavefront_of(spec, **kw)
+
+    monkeypatch.setattr(cli, "wavefront_of", recorded)
+    code, report, _ = run(["restrict", "--pair", pair, "--rep", rep], tmp_path)
+    assert code == 0
+    assert calls == [report["config"]["budgets"]["samples"]] == [40_000]
+    assert set(report["result"]["class_counts"]) == classes
+    assert report["result"]["discretely_decomposable_obstructed"] is obstructed
 
 
 def test_restrict_counts_match_restriction_class_counts(tmp_path):

@@ -280,6 +280,13 @@ def test_cone_union_merges_directions():
     assert len(dirs) == 2
 
 
+def test_union_of_zero_cones_is_zero(sl2):
+    zero = orbit_family(sl2, [OrbitParam("sl2R", "zero", None)])
+    assert ac_union_check([zero, zero]) == (True, 0.0)
+    u = cone_union([exact_cone("Zero", "sl2R", 3)] * 2)
+    assert (u.kind, u.name) == ("exact", "Zero")
+
+
 def test_ac_union_lemma_on_random_families(sl2):
     rng = np.random.default_rng(31)
     kinds = ["hyp", "ell+", "ell-", "nil+", "nil-"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from orbitcone import (
     pairing,
     sl2_casimir,
 )
-from orbitcone.errors import DimensionMismatch, UnsupportedAlgebra
+from orbitcone.errors import DimensionMismatch, DimensionTooLarge, UnsupportedAlgebra
 from orbitcone.liealg import element_matrix, null_rows, random_group_words
 
 CATALOG = [
@@ -127,6 +129,13 @@ def test_pairing_through_gram(algebra):
     c = rng.standard_normal(L.dim)
     y = rng.standard_normal(L.dim)
     assert pairing(L, c, y) == pytest.approx(c @ L.gram @ y, rel=1e-12, abs=1e-12)
+
+
+def test_gram_equals_the_per_pair_traces(algebra):
+    # basis entries are 0, +-1 or +-i: every trace is exact
+    L = algebra
+    traces = [[np.trace(a @ b).real for b in L.basis] for a in L.basis]
+    assert np.array_equal(L.gram, np.array(traces))
 
 
 def test_coadjoint_is_infinitesimal_pairing():
@@ -262,6 +271,51 @@ def test_matrix_coords_rejects_outside_span():
     L = build_algebra("sl2R")
     with pytest.raises(DimensionMismatch):
         matrix_coords(L, np.eye(2))  # identity is not traceless
+
+
+SU21_NAMES = ("b13", "b23", "r12", "a13", "a23", "s12", "d1", "d2")
+
+# spec -> canonical name, matrix size, basis names, split columns, chart,
+# dtype; dim is the number of names, and split row k is the unit row at
+# the k-th split column
+BUILDS = {
+    "sl(2,R)": ("sl2R", 2, ("x", "y", "z"), [0], "sl2", float),
+    "su21": ("su(2,1)", 3, SU21_NAMES, [0], None, complex),
+    "split": ("a", 2, ("h",), [0], None, float),
+    "abelian(2)": ("abelian(2)", 2, ("a1", "a2"), [0, 1], None, float),
+    "so(2,1)": ("so(2,1)", 3, ("b13", "b23", "r12"), [0], "sl2", float),
+    "so(3,1)": ("so(3,1)", 4, ("b14", "b24", "b34", "r12", "r13", "r23"), [0], None, float),
+    "prod(sl2R, su21)": (
+        "prod(sl2R,su(2,1))", 5,
+        ("f1.x", "f1.y", "f1.z") + tuple(f"f2.{n}" for n in SU21_NAMES), [0, 3], None, complex,
+    ),
+    "prod(a,prod(so(1,1),sl2R))": (
+        "prod(a,prod(so(1,1),sl2R))", 6,
+        ("f1.h", "f2.f1.b12", "f2.f2.x", "f2.f2.y", "f2.f2.z"), [0, 1, 2], None, float,
+    ),
+    "abelian(0)": ("abelian(0)", 0, (), [], None, float),
+}
+
+
+@pytest.mark.parametrize("spec", BUILDS)
+def test_build_algebra_names_and_assembles(spec):
+    name, size, names, split, chart, dtype = BUILDS[spec]
+    L = build_algebra(spec)
+    assert (L.name, L.dim, L.matrix_size, L.basis_names, L.chart) == (
+        name, len(names), size, names, chart)
+    assert L.basis.dtype == dtype and L.basis.shape == (len(names), size, size)
+    assert L.split_coords.shape == (len(split), len(names))
+    assert np.array_equal(L.split_coords, np.eye(len(names))[split])
+
+
+@pytest.mark.parametrize("spec,error,message", [
+    ("prod()", UnsupportedAlgebra, "empty product"),
+    ("so(6,5)", DimensionTooLarge, "so(6,5) needs 11 > 10 rows"),
+    ("e8", UnsupportedAlgebra, "cannot parse algebra spec 'e8'"),
+])
+def test_build_algebra_rejects(spec, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build_algebra(spec)
 
 
 def test_unknown_algebra_rejected():
