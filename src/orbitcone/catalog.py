@@ -205,7 +205,7 @@ def quaternionic_wf(budget: int = 40_000, seed: int = 0) -> ConeDescription:
     seeds[1, 0], seeds[1, 2] = 1.0, -1.0
     seeds[2] = -seeds[0]
     seeds[3] = -seeds[1]
-    words = random_group_words(g, max(64, budget // 64), rng, word_len=8)
+    words = random_group_words(g, max(64, budget // 64), rng)
     reg = np.einsum("nij,kj->nki", words, seeds).reshape(-1, g.dim)
     pool = np.vstack([pts, reg, seeds])
     norms = np.linalg.norm(pool, axis=1)

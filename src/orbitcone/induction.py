@@ -240,7 +240,7 @@ def induced_cone_samples(
     if not seeds:
         return np.zeros((0, g.dim))
     pool = np.vstack(seeds)
-    words = random_group_words(g, min(512, max(64, budget // 128)), rng, word_len=8)
+    words = random_group_words(g, min(512, max(64, budget // 128)), rng)
     assign = rng.integers(0, len(words), len(pool))
     moved = np.einsum("nij,nj->ni", words[assign], pool)
     return np.vstack([pool, moved])

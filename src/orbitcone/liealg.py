@@ -38,9 +38,11 @@ EIG_TOL = 1e-9
 NILPOTENT_TOL = 1e-8
 SPECTRAL_TOL = 1e-6
 MAX_SO_SIZE = 10
+_WORD_LEN = 8
+_BY_NAME: dict = {}  # the one algebra of each canonical name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixLieAlgebra:
     """A real Lie algebra of matrices with precomputed structure data.
 
@@ -216,7 +218,9 @@ def build_algebra(spec: str) -> MatrixLieAlgebra:
 
     Supported: ``sl2R``, ``su(2,1)``, ``so(p,q)`` with p+q <= 10,
     ``abelian(n)``, ``a`` (split line in 2x2 matrices), and
-    ``prod(spec, spec, ...)`` realized block-diagonally.
+    ``prod(spec, spec, ...)`` realized block-diagonally.  Every spelling
+    of one canonical name gives the same object, and its arrays are
+    read-only.
     """
     s = spec.strip()
     if s.startswith("prod(") and s.endswith(")"):
@@ -236,6 +240,8 @@ def build_algebra(spec: str) -> MatrixLieAlgebra:
         name, chart = "prod(" + ",".join(f.name for f in factors) + ")", None
     else:
         name, basis, names, split, chart = _primitive(s)
+    if name in _BY_NAME:
+        return _BY_NAME[name]
     if not len(basis):  # no basis element (so(1,0) too): 0 x 0 matrices
         basis = np.zeros((0, 0, 0))
     flat = _flatten(basis).T
@@ -243,17 +249,21 @@ def build_algebra(spec: str) -> MatrixLieAlgebra:
     gram = np.einsum("iab,jba->ij", basis, basis).real
     if abs(np.linalg.det(gram)) <= GRAM_DET_TOL:  # det of the 0 x 0 form is 1
         raise DegenerateForm(f"trace form of {name} is singular")
-    return MatrixLieAlgebra(
+    structure = structure_constants(basis, pinv)
+    for a in (basis, structure, gram, split, flat, pinv):
+        a.flags.writeable = False
+    _BY_NAME[name] = MatrixLieAlgebra(
         name=name,
         basis=basis,
         basis_names=tuple(names),
-        structure=structure_constants(basis, pinv),
+        structure=structure,
         gram=gram,
         split_coords=split,
         flat_basis=flat,
         flat_pinv=pinv,
         chart=chart,
     )
+    return _BY_NAME[name]
 
 
 # ---------------------------------------------------------------------------
@@ -311,31 +321,20 @@ def coadjoint_ad(L: MatrixLieAlgebra, x, xi) -> np.ndarray:
     return ad_matrix(L, x) @ check_coords(L, xi)
 
 
-def random_group_words(
-    L: MatrixLieAlgebra, count: int, rng: np.random.Generator, word_len: int = 8, scale: float = 1.0
-) -> np.ndarray:
+def random_group_words(L: MatrixLieAlgebra, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` random Ad* transport matrices.
 
-    Each word multiplies ``word_len`` exponentials of random unit generators
-    with step sizes uniform in (-scale, scale).  The draws are made word by
-    word; the exponentials are then taken one word position at a time, over
-    all words at once.  A generator of norm below 1e-12 is skipped: it draws
-    no step and its factor is expm(0) = I.
+    Each word multiplies eight factors exp(t ad x), x uniform on the unit
+    coordinate sphere and t uniform in (-1, 1), taken one word position at
+    a time over all words at once.  The draws are two: every direction,
+    then every step.  A dimension-0 algebra gets 0 x 0 identity words.
     """
     d = L.dim
-    gens = np.zeros((word_len, count, d))
-    steps = np.zeros((word_len, count))
-    for k in range(count):
-        for p in range(word_len):
-            x = rng.standard_normal(d)
-            nx = np.linalg.norm(x)
-            if nx < 1e-12:
-                continue
-            gens[p, k] = x
-            steps[p, k] = rng.uniform(-scale, scale) / nx
+    gens = _unit_rows(rng.standard_normal((_WORD_LEN * count, d)))[0].reshape(_WORD_LEN, count, d)
+    steps = rng.uniform(-1.0, 1.0, (_WORD_LEN, count, 1, 1))
     out = np.broadcast_to(np.eye(d), (count, d, d)).copy()
-    for x, f in zip(gens, steps):
-        out = expm(f[:, None, None] * ad_matrix(L, x)) @ out
+    for x, t in zip(gens, steps):
+        out = expm(t * ad_matrix(L, x)) @ out
     return out
 
 

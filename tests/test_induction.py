@@ -12,6 +12,7 @@ from orbitcone import (
     cartan_signatures,
     classify_batch,
     cone_directions,
+    cone_equal,
     diagonal_embedding,
     induced_cone,
     exact_cone,
@@ -184,6 +185,32 @@ def test_induced_cone_is_ad_star_stable():
 
     gaps = _min_angles_to(moved, dirs)
     assert np.quantile(gaps, 0.99) <= 0.05
+
+
+# induce --sub-cone Zero against the exact answer of the paper's first
+# theorem with tau trivial (the golden rows L2_GA and L2_GK); the bounds sit
+# above the largest defects measured over seeds 0-19 (0.118 and 0.058)
+INDUCED_ZERO = [("sl2R|a", "Full", 0.15), ("sl2R|so(2)", "HypClosure", 0.075)]
+
+
+def _induced_zero_within(pair, target, tol, seed):
+    E = pair_embedding(pair)
+    cone = induced_cone(E, exact_cone("Zero", E.sub.name, E.sub.dim), budget=100_000, seed=seed)
+    ok, defect = cone_equal(cone, exact_cone(target, "sl2R", 3), angular_tol=tol)
+    assert ok, (pair, seed, defect)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("pair,target,tol", INDUCED_ZERO)
+def test_induced_cone_of_zero_is_the_exact_cone(pair, target, tol, seed):
+    _induced_zero_within(pair, target, tol, seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pair,target,tol", INDUCED_ZERO)
+def test_induced_cone_of_zero_is_the_exact_cone_over_seeds(pair, target, tol):
+    for seed in range(20):
+        _induced_zero_within(pair, target, tol, seed)
 
 
 def test_identity_pair_induces_nothing():
