@@ -139,27 +139,28 @@ def dedup_directions(dirs: np.ndarray, resolution: float) -> np.ndarray:
 
     A cell is an axis-aligned cube of side ``resolution`` (rounded
     coordinates); the first row in each cell is kept, in input order.  Above
-    dimension 3 almost every unit direction has a cell of its own.  Each row
-    of keys is packed into one int64 code (mixed radix over the column spans,
-    prefix codes re-ranked before they would pass 2**62, so the code stays
-    exact in any dimension), then one stable sort: O(n log n).  Rows must be
-    finite.
+    dimension 3 almost every unit direction has a cell of its own.  Each
+    row's keys, formed one column at a time, pack into an int64 cell code
+    (mixed radix over the column spans), re-ranked before ``code * n + row``
+    would pass 2**62, so that value stays exact in any dimension; one sort
+    of it puts the first row of each cell first.  Rows must be finite.
     """
-    if len(dirs) == 0:
+    n = len(dirs)
+    if n == 0:
         return dirs
-    keys = np.round(dirs / max(resolution, 1e-9)).astype(np.int64)
-    keys -= keys.min(axis=0)
-    code = np.zeros(len(keys), dtype=np.int64)
-    top = 1
-    for col in keys.T:
-        span = int(col.max()) + 1
-        if top * span > 2**62:
+    code, top = np.zeros(n, dtype=np.int64), 1
+    for col in dirs.T:
+        key = np.round(col / max(resolution, 1e-9)).astype(np.int64)
+        key -= key.min()
+        span = int(key.max()) + 1
+        if top * span * n > 2**62:
             _, code = np.unique(code, return_inverse=True)
             top = int(code.max()) + 1
-        code = code * span + col
+        code = code * span + key
         top *= span
-    _, idx = np.unique(code, return_index=True)
-    return dirs[np.sort(idx)]
+    packed = np.sort(code * n + np.arange(n))
+    first = np.r_[True, packed[1:] // n != packed[:-1] // n]
+    return dirs[np.sort(packed[first] % n)]
 
 
 def direction_cone(points, algebra: str, dim: int) -> ConeDescription:

@@ -45,6 +45,7 @@ from .liealg import (
 )
 
 BRACKET_TOL = 1e-12
+_MOVE_CHUNK = 8192  # pool rows per einsum: bounds the words gathered at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,11 +240,15 @@ def induced_cone_samples(
         seeds.append(pts)
     if not seeds:
         return np.zeros((0, g.dim))
-    pool = np.vstack(seeds)
+    m = sum(map(len, seeds))
+    out = np.empty((2 * m, g.dim))  # the pool, then its moved copy
+    pool = np.concatenate(seeds, out=out[:m])
     words = random_group_words(g, min(512, max(64, budget // 128)), rng)
-    assign = rng.integers(0, len(words), len(pool))
-    moved = np.einsum("nij,nj->ni", words[assign], pool)
-    return np.vstack([pool, moved])
+    assign = rng.integers(0, len(words), m)
+    for i in range(0, m, _MOVE_CHUNK):
+        j = min(i + _MOVE_CHUNK, m)
+        np.einsum("nij,nj->ni", words[assign[i:j]], pool[i:j], out=out[m + i:m + j])
+    return out
 
 
 def induced_cone(

@@ -404,7 +404,7 @@ def _dedup_by_rows(dirs, resolution):
 @pytest.mark.parametrize("dim", range(1, 29))
 def test_dedup_directions_matches_row_sort(dim, resolution):
     # the +-e_i rows give every column its whole span, so the codes are
-    # re-ranked from dim 10 at RESOLUTION and dim 9 at RESOLUTION / 2
+    # re-ranked from dim 8 at RESOLUTION and dim 7 at RESOLUTION / 2
     rng = np.random.default_rng(dim)
     pts = rng.standard_normal((3000, dim))
     dirs = np.vstack([np.eye(dim), -np.eye(dim), pts / np.linalg.norm(pts, axis=1, keepdims=True)])
@@ -413,6 +413,18 @@ def test_dedup_directions_matches_row_sort(dim, resolution):
     assert np.array_equal(dedup_directions(dirs, resolution), _dedup_by_rows(dirs, resolution))
     for few in (dirs[:0], dirs[:1]):
         assert np.array_equal(dedup_directions(few, resolution), few)
+
+
+def test_dedup_directions_rerank_counts_the_row_index():
+    # at RESOLUTION the +-e_i rows give each of 9 columns span 101, and
+    # 101**9 < 2**62 < 101**9 * n: only the packed row index forces a re-rank
+    rng = np.random.default_rng(9)
+    pts = rng.standard_normal((6000, 9))
+    dirs = np.vstack([np.eye(9), -np.eye(9), pts / np.linalg.norm(pts, axis=1, keepdims=True)])
+    dirs = np.vstack([dirs, dirs[rng.integers(0, len(dirs), 2000)]])
+    dirs = dirs[rng.permutation(len(dirs))]
+    assert 101**9 < 2**62 < 101**9 * len(dirs)
+    assert np.array_equal(dedup_directions(dirs, RESOLUTION), _dedup_by_rows(dirs, RESOLUTION))
 
 
 def test_dedup_directions_codes_stay_exact_past_64_bits():

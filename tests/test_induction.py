@@ -29,6 +29,7 @@ from orbitcone.errors import (
     NonCommuting,
     UnsupportedAlgebra,
 )
+from orbitcone import induction  # its _MOVE_CHUNK is patched below
 from orbitcone.induction import (
     decomposability_obstructed,
     induced_cone_samples,
@@ -169,6 +170,17 @@ def test_induced_samples_keep_untransported_annihilator():
         u = row / np.linalg.norm(row)
         d = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         assert np.min(np.linalg.norm(d - u, axis=1)) < 1e-9
+
+
+def test_induced_samples_do_not_depend_on_the_move_chunk(monkeypatch):
+    # the pool is moved in chunks of rows; one einsum over all of them is
+    # the reference, bit for bit
+    E = pair_embedding("su(2,1)|so(2,1)")
+    S = exact_cone("Full", "so(2,1)", 3)
+    monkeypatch.setattr(induction, "_MOVE_CHUNK", 10**9)
+    whole = induced_cone_samples(E, S, budget=20_000, seed=5)
+    monkeypatch.setattr(induction, "_MOVE_CHUNK", 999)
+    assert np.array_equal(induced_cone_samples(E, S, budget=20_000, seed=5), whole)
 
 
 def test_induced_cone_is_ad_star_stable():
