@@ -209,8 +209,9 @@ def quaternionic_wf(budget: int = 40_000, seed: int = 0) -> ConeDescription:
     reg = np.einsum("nij,kj->nki", words, seeds).reshape(-1, g.dim)
     pool = np.vstack([pts, reg, seeds])
     norms = np.linalg.norm(pool, axis=1)
-    pool = pool[norms > 1e-9]
-    dirs = pool / np.linalg.norm(pool, axis=1, keepdims=True)
+    keep = norms > 1e-9
+    dirs = pool[keep]
+    dirs /= norms[keep, None]
     return sampled_cone(dedup_directions(dirs, RESOLUTION), g.name)
 
 

@@ -140,14 +140,16 @@ def _clean(obj):
 
 def _write_csv(path: Path, header, rows) -> None:
     """A float table as CSV, each value written ``%.12g``.  Rows go out in
-    chunks of 256, so the Python floats and strings of a chunk stay small
-    next to the arrays of a run; larger chunks are no faster."""
+    chunks of 256, each formatted by one ``%``, so the Python floats and
+    strings of a chunk stay small next to the arrays of a run; larger
+    chunks are no faster."""
     table = np.asarray(rows, dtype=float)
     line = ",".join(["%.12g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for i in range(0, len(table), 256):
-            fh.write("".join([line % tuple(r) for r in table[i:i + 256].tolist()]))
+            block = table[i:i + 256]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 class _Run(NamedTuple):

@@ -176,7 +176,8 @@ def direction_cone(points, algebra: str, dim: int) -> ConeDescription:
     keep = np.isfinite(norms) & (norms > 1e-9)
     if not keep.any():
         return exact_cone("Zero", algebra, dim)
-    dirs = pts[keep] / norms[keep, None]
+    dirs = pts[keep]
+    dirs /= norms[keep, None]
     return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
 
 

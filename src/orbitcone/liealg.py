@@ -30,6 +30,7 @@ from .errors import (
     DegenerateForm,
     DimensionMismatch,
     DimensionTooLarge,
+    OrbitConeError,
     UnsupportedAlgebra,
 )
 
@@ -439,14 +440,19 @@ def _tags(L: MatrixLieAlgebra, u: np.ndarray):
     n, eye = L.matrix_size, np.eye(L.matrix_size)
     nil = np.linalg.norm(np.linalg.matrix_power(X, n), axis=(1, 2)) < NILPOTENT_TOL
     # semisimple: the product of (X - lam), over the eigenvalues lam that
-    # coincide with no earlier one, vanishes relative to its factors' sizes
+    # coincide with no earlier one, vanishes relative to its factors' sizes;
+    # n distinct eigenvalues make X diagonalizable, so only rows with a
+    # repeated one need the product
     lead = ~np.any(np.tril(close, -1), axis=2)
-    P, size = eye.astype(complex), np.ones(len(X))
+    semisimple = np.all(lead, axis=1)
+    rep = np.flatnonzero(~semisimple)
+    Xr, lr, lead = X[rep], lam[rep], lead[rep]
+    P, size = eye.astype(complex), np.ones(len(rep))
     for k in range(n):
-        F = np.where(lead[:, k, None, None], X - lam[:, k, None, None] * eye, eye)
+        F = np.where(lead[:, k, None, None], Xr - lr[:, k, None, None] * eye, eye)
         P = P @ F
         size *= np.where(lead[:, k], np.maximum(1.0, np.linalg.norm(F, axis=(1, 2))), 1.0)
-    semisimple = np.linalg.norm(P, axis=(1, 2)) <= 1e-7 * size
+    semisimple[rep] = np.linalg.norm(P, axis=(1, 2)) <= 1e-7 * size
     all_real, all_imag = np.all(zero | real, axis=1), np.all(zero | imag, axis=1)
     tags = np.select([nil, ~semisimple, np.all(zero, axis=1), all_real, all_imag],
                      ["Nilpotent", "Mixed", "Nilpotent", "Hyperbolic", "Elliptic"], "Mixed")
@@ -461,15 +467,19 @@ def classify_element(L: MatrixLieAlgebra, xi) -> ElementClass:
     (certified by the norm of X^n for the normalized n x n matrix X), or
     Mixed.  The class is invariant under positive scaling and under the
     coadjoint action; the summary lists the eigenvalues of the point's
-    defining matrix.
+    defining matrix, and OrbitConeError is raised when they overflow.
     """
     c = check_coords(L, xi)
-    u, norm = _unit_rows(c[None])
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        u, norm = _unit_rows(c[None])
     if norm[0] <= 1e-12:
         return ElementClass("Zero", ())
     (tag,), lam = _tags(L, u)
     # back from the unit-norm matrix to the point's own
-    lam = lam[0] * (norm[0] * np.linalg.norm(element_matrix(L, u[0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = lam[0] * (norm[0] * np.linalg.norm(element_matrix(L, u[0])))
+    if not np.all(np.isfinite(lam)):
+        raise OrbitConeError(f"the eigenvalues of this {L.name} point overflow")
     return ElementClass(tag, tuple((float(v.real), float(v.imag)) for v in lam))
 
 

@@ -44,6 +44,22 @@ def test_classify_huge_point_is_hyperbolic(tmp_path):
     assert rep["result"]["class"] == "Hyperbolic"
 
 
+@pytest.mark.parametrize("algebra,dim", [("sl2R", 3), ("so(2,2)", 6)])
+def test_classify_overflowing_point_exits_2_without_report(tmp_path, capsys, algebra, dim):
+    # the eigenvalues of the point are past the float range; at 1e300 they
+    # are not, and the point is classified
+    code, _, out = run(["classify", "--algebra", algebra, "--point", ",".join(["1e308"] * dim)],
+                       tmp_path)
+    assert code == 2
+    assert not out.exists()
+    assert "overflow" in capsys.readouterr().err
+    code, rep, _ = run(["classify", "--algebra", algebra, "--point", ",".join(["1e300"] * dim)],
+                       tmp_path, "huge")
+    assert code == 0
+    assert np.all(np.isfinite(rep["result"]["eigen_summary"]))
+    assert np.max(np.abs(rep["result"]["eigen_summary"])) > 1e299
+
+
 def test_floats_that_round_to_zero_are_written_as_zero():
     # rounding keeps the sign of noise: round(-1e-17, 12) is -0.0
     out = cli._clean({"w": [-1e-17, np.float64(-4e-13), -0.0, -2.4e-12, 1.0]})
@@ -66,6 +82,9 @@ def _csv_by_cells(path, header, rows):
     (["norm", "F"], [(1.5, 2.0), (0.1 + 0.2, -1e-300)]),
     (["norm", "F"], []),
     (["a", "b", "c", "d"], np.random.default_rng(0).standard_normal((4097, 4))),  # 16 chunks + 1 row
+    (["a", "b"], np.random.default_rng(1).standard_normal((256, 2))),  # one whole chunk
+    (["a", "b"], np.random.default_rng(2).standard_normal((257, 2))),  # one chunk + 1 row
+    (["x", "y", "z"], np.array([[np.nan, np.inf, -np.inf], [1.0, -np.nan, 2.0]])),
 ])
 def test_csv_rows_match_the_per_cell_writer(tmp_path, header, rows):
     cli._write_csv(tmp_path / "new.csv", header, rows)

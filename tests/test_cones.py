@@ -442,3 +442,25 @@ def test_direction_cone_drops_rows_without_a_finite_norm():
     C = direction_cone([[np.nan, 1.0, 0.0], [1e200, 1e200, 0.0], [0.0, 2.0, 0.0]], "sl2R", 3)
     assert np.array_equal(C.directions, [[0.0, 1.0, 0.0]])
     assert direction_cone([[-np.inf, 0.0, 0.0]], "sl2R", 3).name == "Zero"
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((0, 6)),
+    np.array([[0.0] * 6, [np.inf] + [0.0] * 5, [np.nan] * 6, [1e200] * 6,
+              [0.0, -np.inf, 1.0, 0.0, 0.0, 0.0], [1e-10] * 6]),
+], ids=["all-kept", "dropped-rows"])
+def test_direction_cone_divides_the_kept_rows(bad):
+    # the one copy of the kept rows, divided in place, is the division of
+    # the kept rows; the caller's cloud is left as it was
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.standard_normal((3000, 6)) * 10.0 ** rng.integers(-3, 4, (3000, 1)), bad])
+    pts = pts[rng.permutation(len(pts))]
+    before = pts.copy()
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(pts, axis=1)
+    keep = np.isfinite(norms) & (norms > 1e-9)
+    assert keep.sum() == 3000
+    want = dedup_directions(pts[keep] / norms[keep, None], RESOLUTION)
+    got = direction_cone(pts, "R^d", 6).directions
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(pts, before, equal_nan=True)

@@ -20,7 +20,16 @@ from orbitcone import (
     sl2_casimir,
 )
 from orbitcone.errors import DimensionMismatch, DimensionTooLarge, UnsupportedAlgebra
-from orbitcone.liealg import _expm_stack, element_matrix, null_rows, random_group_words
+from orbitcone.liealg import (
+    NILPOTENT_TOL,
+    SPECTRAL_TOL,
+    _expm_stack,
+    _spectra,
+    _tags,
+    element_matrix,
+    null_rows,
+    random_group_words,
+)
 
 CATALOG = [
     "sl2R",
@@ -607,6 +616,79 @@ def test_classify_batch_matches_the_per_point_reference(name):
         pts.append(words @ p)
     pts = np.vstack(pts)
     assert list(classify_batch(L, pts)) == [_reference_tag(L, p) for p in pts]
+
+
+def _tags_with_every_product(L, u):
+    """``_tags`` with the semisimplicity product run on every row, also on
+    rows with n distinct eigenvalues, as a reference."""
+    X, lam, zero, real, imag, close = _spectra(L, u)
+    n, eye = L.matrix_size, np.eye(L.matrix_size)
+    nil = np.linalg.norm(np.linalg.matrix_power(X, n), axis=(1, 2)) < NILPOTENT_TOL
+    lead = ~np.any(np.tril(close, -1), axis=2)
+    P, size = eye.astype(complex), np.ones(len(X))
+    for k in range(n):
+        F = np.where(lead[:, k, None, None], X - lam[:, k, None, None] * eye, eye)
+        P = P @ F
+        size *= np.where(lead[:, k], np.maximum(1.0, np.linalg.norm(F, axis=(1, 2))), 1.0)
+    semisimple = np.linalg.norm(P, axis=(1, 2)) <= 1e-7 * size
+    all_real, all_imag = np.all(zero | real, axis=1), np.all(zero | imag, axis=1)
+    tags = np.select([nil, ~semisimple, np.all(zero, axis=1), all_real, all_imag],
+                     ["Nilpotent", "Mixed", "Nilpotent", "Hyperbolic", "Elliptic"], "Mixed")
+    return tags.tolist(), lam
+
+
+def _spectral_gap(L, pts):
+    """Smallest distance between two eigenvalues of each row's unit-norm
+    defining matrix."""
+    lam = _spectra(L, pts)[1]
+    d = np.abs(lam[:, :, None] - lam[:, None, :])
+    return np.min(d + np.where(np.eye(lam.shape[1], dtype=bool), np.inf, 0.0), axis=(1, 2))
+
+
+GAP_FACTORS = (0.5, 1.0, 2.0, 10.0)
+
+
+def _near_defective_points(L, base, rng, directions=4):
+    """Points base + t d, for random unit directions d, with t bisected
+    until the smallest eigenvalue gap is each of GAP_FACTORS times
+    SPECTRAL_TOL, and the factor each one aims at; only the base points
+    whose gap runs from below the target (t = 1e-14) to above it (t = 1)
+    take part."""
+    d = rng.standard_normal((len(base) * directions, L.dim))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    p = np.repeat(base, directions, axis=0)
+    p, d = np.tile(p, (len(GAP_FACTORS), 1)), np.tile(d, (len(GAP_FACTORS), 1))
+    factor = np.repeat(GAP_FACTORS, len(base) * directions)
+    target = factor * SPECTRAL_TOL
+    lo, hi = np.full(len(p), -14.0), np.zeros(len(p))
+    ok = (_spectral_gap(L, p + 1e-14 * d) < target) & (_spectral_gap(L, p + d) > target)
+    for _ in range(60):  # in log10 t
+        mid = (lo + hi) / 2
+        below = _spectral_gap(L, p + 10.0 ** mid[:, None] * d) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    pts = p[ok] + 10.0 ** hi[ok, None] * d[ok]
+    return pts, factor[ok]
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN))
+def test_tags_skip_only_a_product_that_vanishes(name):
+    # rows with n distinct eigenvalues are diagonalizable: the product the
+    # classifier skips on them would pass its 1e-7 test; the near-defective
+    # rows put eigenvalue gaps on both sides of SPECTRAL_TOL
+    L = build_algebra(name)
+    rng = np.random.default_rng(23)
+    known = np.array([p for p, _ in KNOWN[name]])
+    ints = rng.integers(-2, 3, (400, L.dim)).astype(float)
+    near, factor = _near_defective_points(L, known, rng)
+    # where rounding makes the gap jump, a few rows miss their target
+    landed = np.abs(_spectral_gap(L, near) / (factor * SPECTRAL_TOL) - 1) < 1e-3
+    for f in GAP_FACTORS:
+        assert np.sum(landed & (factor == f)) >= 4, f
+    pts = np.vstack([known, ints[np.any(ints != 0, axis=1)], near])
+    tags, lam = _tags(L, pts)
+    ref_tags, ref_lam = _tags_with_every_product(L, pts)
+    assert tags == ref_tags
+    assert np.array_equal(lam, ref_lam)
 
 
 def test_classify_huge_point_does_not_overflow():
