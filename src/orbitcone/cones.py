@@ -18,10 +18,10 @@ points at least as far out as the largest radius, take their direction cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DimensionTooLarge,
@@ -34,6 +34,12 @@ from .liealg import build_algebra, null_rows
 DEFAULT_RADII = (10.0, 30.0, 100.0, 300.0)
 RESOLUTION = 0.02
 MAX_DUAL_DIM = 8
+# the nearest-direction search: n * m up to which one Gram product is the
+# cheapest (and the products of one Gram chunk), the first cube side of the
+# 3-D cell grid, and the candidate pairs it holds at once
+_GRAM_CUT = 500_000
+_CELL = 0.025
+_CELL_PAIRS = 1 << 16
 
 _QUARTER = np.pi / 4
 # The named cones, name -> (bands, defining conditions).  Each is the union
@@ -120,18 +126,99 @@ def sampled_cone(directions, algebra: str) -> ConeDescription:
 # angular helpers
 
 
-def _min_angles_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """For each row of points (unit), the angle to the nearest row of targets.
+def _chord_angles(points: np.ndarray, targets: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """The angle 2 atan2(|p - t|, |p + t|) from each point p to its target
+    t = targets[nearest]: exact at 0 and at pi alike, where arccos of a dot
+    product (at 0) or 2 asin(|p - t| / 2) (at pi) would be off by sqrt(eps)."""
+    t = targets[nearest]
+    return 2.0 * np.arctan2(np.linalg.norm(points - t, axis=1),
+                            np.linalg.norm(points + t, axis=1))
 
-    A KD-tree on the targets finds the nearest one by chord length d, which
-    is monotone in angle on the unit sphere.  The angle is 2 atan2(d, |p + t|):
-    exact at 0 and at pi alike, where arccos of a dot product (at 0) or
-    2 asin(d/2) (at pi) would be off by sqrt(eps).
+
+def _nearest_by_gram(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the target with the largest dot product with each point,
+    one chunk of at most ``_GRAM_CUT`` products at a time."""
+    step = max(1, _GRAM_CUT // len(targets))
+    nearest = np.empty(len(points), dtype=np.intp)
+    for i in range(0, len(points), step):
+        nearest[i:i + step] = np.argmax(points[i:i + step] @ targets.T, axis=1)
+    return nearest
+
+
+def _nearest_by_cells(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the nearest target to each point, unit rows in 3-D.
+
+    Cubes of side h key every row; the targets, sorted by cell code with
+    z fastest, put each (x, y) column of cells in one run, and one
+    ``bincount``/``cumsum`` table gives each cell's first target.  A point
+    scans the 9 columns of its 3x3x3 block.  A target at chord at most h
+    lies in that block, so a point whose best candidate is that close is
+    done; the others go round again at 2h.  The Gram product finishes the
+    points left once h reaches 2, the largest chord, and takes at once a
+    point whose block holds more than an eighth of the targets, where one
+    Gram row costs less than the scan.  Points go in pieces of about
+    ``_CELL_PAIRS`` candidate pairs.
+    """
+    nearest = np.empty(len(points), dtype=np.intp)
+    todo, gram, h = np.arange(len(points)), [], _CELL
+    while len(todo) and h < 2.0:
+        top = int(np.ceil(2.0 / h))
+        side = top + 3  # keys 1..top + 1, an empty cell at each end
+        # lowest cell of each of the 9 columns of a block, from its centre
+        block = ((np.arange(-1, 2)[:, None] * side + np.arange(-1, 2)) * side - 1).ravel()
+        tk = np.clip(np.floor((targets + 1.0) / h), 0, top).astype(np.intp) + 1
+        tcode = (tk[:, 0] * side + tk[:, 1]) * side + tk[:, 2]
+        order = np.argsort(tcode, kind="stable")
+        sorted_t = targets[order].T.copy()  # one contiguous row per axis
+        start = np.bincount(tcode + 1, minlength=side ** 3 + 1)  # first target of each cell
+        np.cumsum(start, out=start)
+        pk = np.clip(np.floor((points[todo] + 1.0) / h), 0, top).astype(np.intp) + 1
+        centre = (pk[:, 0] * side + pk[:, 1]) * side + pk[:, 2]
+        per = sum(start[centre + b + 3] - start[centre + b] for b in block)
+        crowded = per * 8 > len(targets)
+        gram.append(todo[crowded])
+        todo, centre, per = todo[~crowded], centre[~crowded], per[~crowded]
+        left = []
+        cuts = np.searchsorted(np.cumsum(per), np.arange(_CELL_PAIRS, per.sum(), _CELL_PAIRS))
+        for piece in np.split(np.arange(len(todo)), cuts):
+            idx, cell = todo[piece], centre[piece, None] + block
+            lo = start[cell].ravel()
+            count = start[cell + 3].ravel() - lo
+            flat = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+            owner = np.repeat(np.arange(len(idx)), per[piece])
+            # the squared chord summed over x, y, z in order, as the norm does
+            d2 = np.zeros(len(flat))
+            for k in range(3):
+                diff = points[idx, k][owner] - sorted_t[k][flat]
+                d2 += diff * diff
+            best = np.full(len(idx), np.inf)
+            has = per[piece] > 0
+            best[has] = np.minimum.reduceat(d2, (np.cumsum(per[piece]) - per[piece])[has])
+            hit = np.flatnonzero(d2 == best[owner])
+            first = hit[np.diff(owner[hit], prepend=-1) != 0]
+            nearest[idx[owner[first]]] = order[flat[first]]
+            left.append(idx[best > (h * (1.0 - 1e-9)) ** 2])
+        todo, h = np.concatenate(left), 2.0 * h
+    gram = np.concatenate([*gram, todo])
+    nearest[gram] = _nearest_by_gram(points[gram], targets)
+    return nearest
+
+
+def _min_angles_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each unit row of points, the angle to the nearest unit row of
+    targets (pi when there is none).
+
+    The nearest target (the shortest chord, the largest dot product) comes
+    from chunked Gram products, or in 3-D above ``_GRAM_CUT`` pairs from a
+    cell grid.
     """
     if len(targets) == 0:
         return np.full(len(points), np.pi)
-    d, nearest = cKDTree(targets).query(points)
-    return 2.0 * np.arctan2(d, np.linalg.norm(points + targets[nearest], axis=1))
+    if points.shape[1] == 3 and len(points) * len(targets) > _GRAM_CUT:
+        nearest = _nearest_by_cells(points, targets)
+    else:
+        nearest = _nearest_by_gram(points, targets)
+    return _chord_angles(points, targets, nearest)
 
 
 def dedup_directions(dirs: np.ndarray, resolution: float) -> np.ndarray:
@@ -181,31 +268,83 @@ def direction_cone(points, algebra: str, dim: int) -> ConeDescription:
     return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
 
 
-def _band_grid(phi_lo: float, phi_hi: float) -> np.ndarray:
-    """Deterministic near-uniform grid on a latitude band of the 2-sphere;
-    a single ring when the band is one latitude."""
+def _band_grid(phi_lo: float, phi_hi: float) -> tuple:
+    """Deterministic near-uniform grid on a latitude band of the 2-sphere:
+    the rings' polar angles and the rows of each ring (a single ring when
+    the band is one latitude).  Rings and the rows of a ring are at most
+    ``RESOLUTION`` apart."""
     rows = max(2, int(np.ceil((phi_hi - phi_lo) / RESOLUTION)) + 1) if phi_hi > phi_lo else 1
-    out = []
-    for phi in np.linspace(phi_lo, phi_hi, rows):
+    phis = np.linspace(phi_lo, phi_hi, rows)
+    rings = []
+    for phi in phis:
         s = np.sin(phi)
         ntheta = max(1, int(np.ceil(2 * np.pi * max(s, 1e-9) / RESOLUTION)))
         th = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
-        out.append(np.column_stack([s * np.cos(th), s * np.sin(th), np.full(ntheta, np.cos(phi))]))
-    return np.vstack(out)
+        rings.append(np.column_stack([s * np.cos(th), s * np.sin(th), np.full(ntheta, np.cos(phi))]))
+    return phis, rings
+
+
+@cache
+def _named_grid(name: str) -> tuple:
+    """The direction grid of a named cone on the 2-sphere, built once and
+    read-only, and for each band its rings: (polar angles, first row of
+    each ring, ring sizes)."""
+    rings, bands = [], []
+    for lo, hi in _EXACT_CONES[name][0]:
+        phis, band = _band_grid(lo, hi)
+        sizes = np.array([len(r) for r in band])
+        first = sum(len(r) for r in rings) + np.cumsum(sizes) - sizes
+        bands.append((phis, first, sizes))
+        rings += band
+    grid = np.vstack(rings) if rings else np.zeros((0, 3))
+    grid.flags.writeable = False
+    return grid, tuple(bands)
+
+
+def _nearest_named(points: np.ndarray, name: str) -> np.ndarray:
+    """Index of the nearest row of a named cone's grid to each unit point
+    of the 2-sphere (the grid must have rows).
+
+    In each band the candidates are the ring nearest in polar angle and
+    its two neighbours, and on each of them the two grid azimuths around
+    the point's.  On one ring the chord grows with the azimuth gap.  A
+    ring two away from the nearest is at least 1.5 ring spacings away in
+    polar angle, while the best row of the nearest ring is at most half a
+    spacing plus half an arc spacing away; both spacings are at most
+    ``RESOLUTION`` and a ring spacing exceeds ``RESOLUTION / 2``, so the
+    nearest row is a candidate.
+    """
+    grid, bands = _named_grid(name)
+    phi = np.arctan2(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
+    turn = np.arctan2(points[:, 1], points[:, 0]) % (2 * np.pi) / (2 * np.pi)
+    nearest, best = np.zeros(len(points), dtype=np.intp), np.full(len(points), np.inf)
+    for phis, first, sizes in bands:
+        step = phis[1] - phis[0] if len(phis) > 1 else 1.0
+        ring = np.rint((phi - phis[0]) / step).astype(np.intp)
+        for r in (ring - 1, ring, ring + 1):
+            r = np.clip(r, 0, len(phis) - 1)
+            k = np.floor(turn * sizes[r]).astype(np.intp)
+            for row in (first[r] + k % sizes[r], first[r] + (k + 1) % sizes[r]):
+                diff = points - grid[row]
+                d2 = (diff * diff).sum(axis=1)
+                closer = d2 < best
+                nearest[closer], best[closer] = row[closer], d2[closer]
+    return nearest
 
 
 def cone_directions(C: ConeDescription, seed: int = 0) -> np.ndarray:
-    """Unit direction samples representing a cone at ``RESOLUTION``."""
+    """Unit direction samples representing a cone at ``RESOLUTION``; a
+    named cone on the 2-sphere gives its read-only grid."""
     if C.kind == "sampled":
         return C.directions
     if C.kind == "exact":
-        bands = _EXACT_CONES[C.name][0]
-        if not bands:
+        if C.name == "Zero":
             return np.zeros((0, C.dim))
-        if C.dim != 3:  # Full off the 2-sphere: a random sphere sample
-            v = np.random.default_rng(seed).standard_normal((40_000, C.dim))
-            return v / np.linalg.norm(v, axis=1, keepdims=True)
-        return np.vstack([_band_grid(lo, hi) for lo, hi in bands])
+        if C.dim == 3:
+            return _named_grid(C.name)[0]
+        # Full off the 2-sphere: a random sphere sample
+        v = np.random.default_rng(seed).standard_normal((40_000, C.dim))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
     # polyhedral: generators, their span under nonnegative combinations
     g = C.generators
     if len(g) == 0:
@@ -233,7 +372,8 @@ def cone_equal(
     """Symmetric Hausdorff comparison of direction samples.
 
     Returns (equal, defect) where defect is the symmetric Hausdorff angular
-    distance between the two direction sets.
+    distance between the two direction sets.  Directions are compared with
+    a named cone on the 2-sphere through its own grid's nearest row.
     """
     d1 = cone_directions(C1)
     d2 = cone_directions(C2)
@@ -241,8 +381,14 @@ def cone_equal(
         return True, 0.0
     if len(d1) == 0 or len(d2) == 0:
         return False, float(np.pi)
-    a = _min_angles_to(d1, d2).max()
-    b = _min_angles_to(d2, d1).max()
+
+    def angles(points, C, targets):
+        if C.kind == "exact" and C.dim == 3:
+            return _chord_angles(points, targets, _nearest_named(points, C.name))
+        return _min_angles_to(points, targets)
+
+    a = angles(d1, C2, d2).max()
+    b = angles(d2, C1, d1).max()
     defect = float(max(a, b))
     return defect <= angular_tol, defect
 

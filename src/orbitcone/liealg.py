@@ -374,11 +374,13 @@ def null_rows(a: np.ndarray, rtol: float = 1e-9, floor: float = 1.0) -> np.ndarr
 
 
 def _unit_rows(pts: np.ndarray):
-    """Unit rows and their norms, taken after dividing by the largest entry."""
+    """Unit rows and their norms, taken after dividing by the largest entry;
+    a norm past the float range is inf."""
     big = np.max(np.abs(pts), axis=1, initial=0.0)
     u = pts / np.where(big > 0, big, 1.0)[:, None]
     n = np.linalg.norm(u, axis=1)
-    return u / np.where(n > 0, n, 1.0)[:, None], big * n
+    with np.errstate(over="ignore"):
+        return u / np.where(n > 0, n, 1.0)[:, None], big * n
 
 
 def _spectra(L: MatrixLieAlgebra, pts: np.ndarray):
@@ -470,8 +472,7 @@ def classify_element(L: MatrixLieAlgebra, xi) -> ElementClass:
     defining matrix, and OrbitConeError is raised when they overflow.
     """
     c = check_coords(L, xi)
-    with np.errstate(over="ignore"):  # a norm past the float range is inf
-        u, norm = _unit_rows(c[None])
+    u, norm = _unit_rows(c[None])
     if norm[0] <= 1e-12:
         return ElementClass("Zero", ())
     (tag,), lam = _tags(L, u)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
 from .cones import FamilyBranch, PointFamily
 from .errors import (
@@ -62,18 +61,29 @@ class OrbitParam:
 
 def tangent_basis(L: MatrixLieAlgebra, xi) -> np.ndarray:
     """Rows span the orbit tangent space at xi: a maximal independent
-    subset of {ad*_(e_i) xi}, chosen deterministically by pivoted QR."""
+    subset of {ad*_(e_i) xi}, in index order, chosen deterministically by
+    greedy pivoted Gram-Schmidt.  The row of largest residual norm comes
+    next (the first on ties); the rank counts the picks whose residual
+    norm exceeds 1e-10 times the largest row norm."""
     c = check_coords(L, xi)
     if np.linalg.norm(c) <= 1e-12:
         raise ZeroPoint("tangent basis needs a nonzero point")
     cand = -ad_matrix(L, c).T  # row i = ad*_(e_i) xi
     if np.max(np.abs(cand)) < 1e-14:
         return np.zeros((0, L.dim))
-    _, r, piv = qr(cand.T, pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > max(diag) * 1e-10))
-    rows = np.sort(piv[:rank])
-    return cand[rows]
+    resid = cand.copy()
+    norms = np.linalg.norm(resid, axis=1)
+    floor, picked = norms.max() * 1e-10, []
+    for _ in range(min(cand.shape)):
+        i = int(np.argmax(norms))
+        if norms[i] <= floor:
+            break
+        picked.append(i)
+        q = resid[i] / norms[i]
+        resid -= np.outer(resid @ q, q)
+        norms = np.linalg.norm(resid, axis=1)
+        norms[picked] = 0.0
+    return cand[np.sort(picked)]
 
 
 def kks_form(L: MatrixLieAlgebra, xi, x, y) -> float:

@@ -23,9 +23,12 @@ from orbitcone.cones import (
     EXACT_NAMES,
     RESOLUTION,
     _EXACT_CONES,
+    _GRAM_CUT,
     FamilyBranch,
     PointFamily,
+    _chord_angles,
     _min_angles_to,
+    _nearest_named,
     dedup_directions,
     direction_cone,
 )
@@ -130,9 +133,25 @@ def test_named_cone_distance_matches_its_grid(name):
     u = np.random.default_rng(8).standard_normal((2000, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     table = np.array([_band_distance(name, v) for v in u])
-    assert np.max(np.abs(table - _min_angles_to(u, cone_directions(C)))) <= RESOLUTION
     grid = cone_directions(C)
+    assert np.max(np.abs(table - _min_angles_to(u, grid))) <= RESOLUTION
     assert all(_band_distance(name, d) <= 1e-12 for d in grid)
+    if len(grid) == 0:
+        return
+    # one grid per name, built once and read-only
+    assert cone_directions(exact_cone(name, "so(2,1)", 3)) is grid and not grid.flags.writeable
+    # the cone's own nearest-row rule against every row: by brute force on
+    # 300 directions, and on 100,000 through the general search (brute
+    # force over the 31,687 rows of Full takes a second per 300)
+    rule = _chord_angles(u[:300], grid, _nearest_named(u[:300], name))
+    assert np.max(np.abs(rule - _brute_min_angles(u[:300], grid))) <= 1e-12
+    many = _unit_rows(np.random.default_rng(9), 100_000, 3)
+    rule = _chord_angles(many, grid, _nearest_named(many, name))
+    assert np.max(np.abs(rule - _min_angles_to(many, grid))) <= 1e-12
+    # cone_equal reads that rule for the named side
+    sample = sampled_cone(u[:500], "sl2R")
+    defect = max(_min_angles_to(u[:500], grid).max(), _min_angles_to(grid, u[:500]).max())
+    assert cone_equal(sample, C, angular_tol=0.0)[1] == defect
 
 
 @pytest.mark.parametrize("name", EXACT_NAMES)
@@ -324,21 +343,31 @@ def _unit_rows(rng, n, d):
 
 def _brute_min_angles(points, targets):
     # 2 atan2(|u - v|, |u + v|) is the angle between unit u and v, well
-    # conditioned at 0 and at pi alike
-    diff = np.linalg.norm(points[:, None, :] - targets[None, :, :], axis=2)
-    summ = np.linalg.norm(points[:, None, :] + targets[None, :, :], axis=2)
-    return (2.0 * np.arctan2(diff, summ)).min(axis=1)
+    # conditioned at 0 and at pi alike; 100 points at a time
+    out = []
+    for k in range(0, len(points), 100):
+        p = points[k:k + 100, None, :]
+        diff = np.linalg.norm(p - targets[None, :, :], axis=2)
+        summ = np.linalg.norm(p + targets[None, :, :], axis=2)
+        out.append((2.0 * np.arctan2(diff, summ)).min(axis=1))
+    return np.concatenate(out)
 
 
-@pytest.mark.parametrize("dim", range(2, 9))
-def test_min_angles_to_matches_brute_force(dim):
+@pytest.mark.parametrize("dim,size", [*((d, 60) for d in range(2, 9)), (3, 600)],
+                         ids=[*map(str, range(2, 9)), "3-cells"])
+def test_min_angles_to_matches_brute_force(dim, size, monkeypatch):
     rng = np.random.default_rng(dim)
-    base = _unit_rows(rng, 60, dim)
+    base = _unit_rows(rng, size, dim)
     # duplicate targets and antipodal pairs
     targets = np.vstack([base, base[:10], -base[10:20]])
-    points = np.vstack([_unit_rows(rng, 200, dim), -base[:5], base[30:35]])
+    points = np.vstack([_unit_rows(rng, 10 * size // 3, dim), -base[:5], base[30:35]])
     got = _min_angles_to(points, targets)
     assert np.max(np.abs(got - _brute_min_angles(points, targets))) <= 1e-12
+    if len(points) * len(targets) > _GRAM_CUT:
+        # the cell grid: most of these points have no target within its
+        # first cube side.  With no cut a single target takes that path
+        # too, and its antipode goes round until the Gram product takes it
+        monkeypatch.setattr("orbitcone.cones._GRAM_CUT", 0)
     # a single target, including its own antipode
     single = base[:1]
     pts = np.vstack([points, -single])

@@ -696,6 +696,8 @@ def test_classify_huge_point_does_not_overflow():
     assert classify_element(L, [1e300, 0.0, 1.0]).tag == "Hyperbolic"
     assert list(classify_batch(L, [[1e300, 0.0, 1.0], [1e300, 0.0, 1e300]])) == [
         "Hyperbolic", "Nilpotent"]
+    # the norm of this row passes the float range
+    assert list(classify_batch(build_algebra("so(2,2)"), [[1e308] * 6])) == ["Mixed"]
     rotation = KNOWN["so(3,1)"][0][0]
     assert classify_element(build_algebra("so(3,1)"), 1e300 * rotation).tag == "Elliptic"
 

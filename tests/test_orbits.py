@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import qr
 
 from orbitcone import (
     OrbitParam,
@@ -124,6 +125,18 @@ def test_tangent_rank_matches_svd(sl2):
         rows = np.array([ad_matrix(sl2, e) @ xi for e in np.eye(3)])
         rank = np.linalg.matrix_rank(rows, tol=1e-10)
         assert tb.shape == (rank, 3)
+        # the rows LAPACK's pivoted QR picks (off exact ties of the norms)
+        cand = -ad_matrix(sl2, xi).T
+        _, r, piv = qr(cand.T, pivoting=True)
+        diag = np.abs(np.diag(r))
+        assert np.array_equal(tb, cand[np.sort(piv[:np.sum(diag > diag.max() * 1e-10)])])
+    for name in ("so(3,1)", "so(2,2)", "su(2,1)"):
+        L = build_algebra(name)
+        for _ in range(20):
+            xi = rng.standard_normal(L.dim)
+            tb = tangent_basis(L, xi)
+            rank = np.linalg.matrix_rank(-ad_matrix(L, xi).T, tol=1e-10)
+            assert len(tb) == rank == np.linalg.matrix_rank(tb, tol=1e-10)
     assert len(tangent_basis(sl2, [1.0, 0.0, 0.0])) == 2
     assert len(tangent_basis(sl2, [0.0, 0.0, 2.0])) == 2
     with pytest.raises(ZeroPoint):
