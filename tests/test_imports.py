@@ -107,6 +107,13 @@ def cli_modules():
     return set(done.stdout.split())
 
 
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.stats", "scipy.integrate",
+                                    "scipy.interpolate", "scipy.signal", "scipy.ndimage"])
+def test_cli_import_does_not_load(cli_modules, module):
+    # the subpackages the CLI once loaded for its cone search
+    assert module not in cli_modules
+
+
 def test_cli_import_loads_no_scipy(cli_modules):
     # every CLI process pays for what importing orbitcone.cli loads
     assert sorted(m for m in cli_modules if m.split(".")[0] == "scipy") == []
