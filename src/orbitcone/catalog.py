@@ -65,6 +65,20 @@ def _product_family(p1: OrbitParam, p2: OrbitParam) -> PointFamily:
     )
 
 
+def read_label(label: str) -> tuple[str, tuple | None]:
+    """A catalog label in parenthesized form, and its (n, s, m, s) when it
+    is a tensor(n,s,m,s) label, which then comes back without spaces
+    (None for any other label)."""
+    s = label.strip()
+    if ":" in s:  # name:a:b is name(a,b)
+        s = s.replace(":", "(", 1).replace(":", ",") + ")"
+    m = re.fullmatch(r"tensor\((\d+)\s*,\s*([+-])\s*,\s*(\d+)\s*,\s*([+-])\)", s)
+    if not m:
+        return s, None
+    tensor = (int(m.group(1)), m.group(2), int(m.group(3)), m.group(4))
+    return "tensor(%d,%s,%d,%s)" % tensor, tensor
+
+
 def representation(label: str) -> RepresentationSpec:
     """Resolve a catalog label.
 
@@ -72,9 +86,14 @@ def representation(label: str) -> RepresentationSpec:
     sigma_disc(n,+|-), sigma_hyp(nu,+|-|+-), sigma_limit(+|-),
     sum_disc(+|-), L2_GK, L2_GA, tensor(n,s,m,s).
     """
-    s = label.strip()
-    if ":" in s:  # name:a:b is name(a,b)
-        s = s.replace(":", "(", 1).replace(":", ",") + ")"
+    s, tensor = read_label(label)
+    if tensor is not None:
+        n, s1, mm, s2 = tensor
+        fam = _product_family(
+            OrbitParam("sl2R", f"ell{s1}", float(n)),
+            OrbitParam("sl2R", f"ell{s2}", float(mm)),
+        )
+        return RepresentationSpec(s, fam)
     L = build_algebra("sl2R")
     if s == "L2_GK":
         return RepresentationSpec("L2_GK", union_family(L, "hyp_union"))
@@ -114,14 +133,6 @@ def representation(label: str) -> RepresentationSpec:
         sign = m.group(1)
         fam = union_family(L, "ell_union_plus" if sign == "+" else "ell_union_minus")
         return RepresentationSpec(f"sum_disc({sign})", fam)
-    m = re.fullmatch(r"tensor\((\d+)\s*,\s*([+-])\s*,\s*(\d+)\s*,\s*([+-])\)", s)
-    if m:
-        n, s1, mm, s2 = int(m.group(1)), m.group(2), int(m.group(3)), m.group(4)
-        fam = _product_family(
-            OrbitParam("sl2R", f"ell{s1}", float(n)),
-            OrbitParam("sl2R", f"ell{s2}", float(mm)),
-        )
-        return RepresentationSpec(f"tensor({n},{s1},{mm},{s2})", fam)
     raise UnsupportedAlgebra(f"unknown representation label {label!r}")
 
 
@@ -229,9 +240,9 @@ def tensor_analysis(
     (the invariant of a sum of two future-pointing points is below
     -(n+m)^2), so the exact sign test is the right classifier even far
     out, where normalized classification would blur into the boundary.
+    A factor that is no elliptic orbit (n < 1, a sign other than + or -)
+    fails in the orbit sampler.
     """
-    if n < 1 or m < 1 or s1 not in "+-" or s2 not in "+-":
-        raise UnsupportedAlgebra("tensor pairs need n,m >= 1 and signs in {+,-}")
     L = build_algebra("sl2R")
     pts = orbit_sum_sample(
         L,

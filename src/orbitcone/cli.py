@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 import time
 from functools import cache
@@ -42,6 +41,7 @@ from .catalog import (
     GOLDEN_ROWS,
     golden_table,
     quaternionic_wf,
+    read_label,
     representation,
     tensor_analysis,
     wavefront_of,
@@ -346,15 +346,12 @@ def _cmd_saturation(args) -> _Run:
 
 
 def _cmd_tensor(args) -> _Run:
-    spec = representation(args.rep)
-    m = re.fullmatch(r"tensor\((\d+),([+-]),(\d+),([+-])\)", spec.label)
-    if not m:
+    label, tensor = read_label(args.rep)
+    if tensor is None:
+        representation(args.rep)  # an unknown label fails with its own message
         raise OrbitConeError("tensor subcommand needs a tensor(n,s,m,s) label")
-    report = tensor_analysis(
-        int(m.group(1)), m.group(2), int(m.group(3)), m.group(4),
-        samples=args.samples, seed=args.seed,
-    )
-    return _Run({"rep": spec.label}, report)
+    report = tensor_analysis(*tensor, samples=args.samples, seed=args.seed)
+    return _Run({"rep": label}, report)
 
 
 def _cmd_golden_table(args) -> _Run:

@@ -268,68 +268,39 @@ def direction_cone(points, algebra: str, dim: int) -> ConeDescription:
     return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
 
 
-def _band_grid(phi_lo: float, phi_hi: float) -> tuple:
-    """Deterministic near-uniform grid on a latitude band of the 2-sphere:
-    the rings' polar angles and the rows of each ring (a single ring when
-    the band is one latitude).  Rings and the rows of a ring are at most
-    ``RESOLUTION`` apart."""
+def _band_grid(phi_lo: float, phi_hi: float) -> np.ndarray:
+    """Deterministic near-uniform grid on a latitude band of the 2-sphere,
+    one ring per latitude (a single ring when the band is one latitude).
+    Rings and the rows of a ring are at most ``RESOLUTION`` apart."""
     rows = max(2, int(np.ceil((phi_hi - phi_lo) / RESOLUTION)) + 1) if phi_hi > phi_lo else 1
-    phis = np.linspace(phi_lo, phi_hi, rows)
     rings = []
-    for phi in phis:
+    for phi in np.linspace(phi_lo, phi_hi, rows):
         s = np.sin(phi)
         ntheta = max(1, int(np.ceil(2 * np.pi * max(s, 1e-9) / RESOLUTION)))
         th = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
         rings.append(np.column_stack([s * np.cos(th), s * np.sin(th), np.full(ntheta, np.cos(phi))]))
-    return phis, rings
+    return np.vstack(rings)
 
 
 @cache
-def _named_grid(name: str) -> tuple:
+def _named_grid(name: str) -> np.ndarray:
     """The direction grid of a named cone on the 2-sphere, built once and
-    read-only, and for each band its rings: (polar angles, first row of
-    each ring, ring sizes)."""
-    rings, bands = [], []
-    for lo, hi in _EXACT_CONES[name][0]:
-        phis, band = _band_grid(lo, hi)
-        sizes = np.array([len(r) for r in band])
-        first = sum(len(r) for r in rings) + np.cumsum(sizes) - sizes
-        bands.append((phis, first, sizes))
-        rings += band
-    grid = np.vstack(rings) if rings else np.zeros((0, 3))
+    read-only."""
+    bands = [_band_grid(lo, hi) for lo, hi in _EXACT_CONES[name][0]]
+    grid = np.vstack(bands) if bands else np.zeros((0, 3))
     grid.flags.writeable = False
-    return grid, tuple(bands)
+    return grid
 
 
-def _nearest_named(points: np.ndarray, name: str) -> np.ndarray:
-    """Index of the nearest row of a named cone's grid to each unit point
-    of the 2-sphere (the grid must have rows).
-
-    In each band the candidates are the ring nearest in polar angle and
-    its two neighbours, and on each of them the two grid azimuths around
-    the point's.  On one ring the chord grows with the azimuth gap.  A
-    ring two away from the nearest is at least 1.5 ring spacings away in
-    polar angle, while the best row of the nearest ring is at most half a
-    spacing plus half an arc spacing away; both spacings are at most
-    ``RESOLUTION`` and a ring spacing exceeds ``RESOLUTION / 2``, so the
-    nearest row is a candidate.
-    """
-    grid, bands = _named_grid(name)
-    phi = np.arctan2(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
-    turn = np.arctan2(points[:, 1], points[:, 0]) % (2 * np.pi) / (2 * np.pi)
-    nearest, best = np.zeros(len(points), dtype=np.intp), np.full(len(points), np.inf)
-    for phis, first, sizes in bands:
-        step = phis[1] - phis[0] if len(phis) > 1 else 1.0
-        ring = np.rint((phi - phis[0]) / step).astype(np.intp)
-        for r in (ring - 1, ring, ring + 1):
-            r = np.clip(r, 0, len(phis) - 1)
-            k = np.floor(turn * sizes[r]).astype(np.intp)
-            for row in (first[r] + k % sizes[r], first[r] + (k + 1) % sizes[r]):
-                diff = points - grid[row]
-                d2 = (diff * diff).sum(axis=1)
-                closer = d2 < best
-                nearest[closer], best[closer] = row[closer], d2[closer]
-    return nearest
+def _angles_to_named(points: np.ndarray, name: str) -> np.ndarray:
+    """The angle from each unit row of points to a named cone (pi when it
+    has no band): from the polar angle phi off the last axis to the
+    nearest band, max(0, lo - phi, phi - hi).  Bands are invariant under
+    rotations that fix the last axis, so the nearest point of the cone
+    has the point's own azimuth."""
+    phi = np.arctan2(np.linalg.norm(points[:, :-1], axis=1), points[:, -1])
+    gaps = [np.maximum(0.0, np.maximum(lo - phi, phi - hi)) for lo, hi in _EXACT_CONES[name][0]]
+    return np.min(gaps, axis=0) if gaps else np.full(len(points), np.pi)
 
 
 def cone_directions(C: ConeDescription, seed: int = 0) -> np.ndarray:
@@ -341,7 +312,7 @@ def cone_directions(C: ConeDescription, seed: int = 0) -> np.ndarray:
         if C.name == "Zero":
             return np.zeros((0, C.dim))
         if C.dim == 3:
-            return _named_grid(C.name)[0]
+            return _named_grid(C.name)
         # Full off the 2-sphere: a random sphere sample
         v = np.random.default_rng(seed).standard_normal((40_000, C.dim))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -373,7 +344,7 @@ def cone_equal(
 
     Returns (equal, defect) where defect is the symmetric Hausdorff angular
     distance between the two direction sets.  Directions are compared with
-    a named cone on the 2-sphere through its own grid's nearest row.
+    a named cone through their exact angle to its bands.
     """
     d1 = cone_directions(C1)
     d2 = cone_directions(C2)
@@ -383,8 +354,8 @@ def cone_equal(
         return False, float(np.pi)
 
     def angles(points, C, targets):
-        if C.kind == "exact" and C.dim == 3:
-            return _chord_angles(points, targets, _nearest_named(points, C.name))
+        if C.kind == "exact":
+            return _angles_to_named(points, C.name)
         return _min_angles_to(points, targets)
 
     a = angles(d1, C2, d2).max()

@@ -335,13 +335,11 @@ def _sl2_saturation_exact(E: SubalgebraEmbedding) -> SaturationResult:
     restricted to the complement."""
     comp = E.complement_q
     quad = np.diag([1.0, 1.0, -1.0])
-    form = comp @ quad @ comp.T
-    vals = np.linalg.eigvalsh(form) if form.size else np.zeros(0)
+    vals, vecs = np.linalg.eigh(comp @ quad @ comp.T)
     has_ell = bool(np.any(vals < -1e-12))
     has_hyp = bool(np.any(vals > 1e-12))
     cert = {"restricted_invariant_eigenvalues": [float(v) for v in vals]}
     if has_ell and has_hyp:
-        vecs = np.linalg.eigh(form)[1] if form.size else np.zeros((0, 0))
         cert["witnesses"] = {
             "compact": (vecs[:, 0] @ comp).tolist(),
             "split": (vecs[:, -1] @ comp).tolist(),

@@ -91,23 +91,13 @@ def kks_form(L: MatrixLieAlgebra, xi, x, y) -> float:
     return -pairing(L, xi, bracket(L, x, y))
 
 
-def _solve_frame_generators(L, c, vectors):
-    """X_i with ad*_(X_i) xi = v_i, least squares (any solution works,
-    the form value does not depend on the choice)."""
-    m = -ad_matrix(L, c)  # X -> ad*_X xi
-    xs, resid = [], 0.0
-    for v in vectors:
-        sol, res, *_ = np.linalg.lstsq(m, v, rcond=None)
-        xs.append(sol)
-        resid = max(resid, float(np.linalg.norm(m @ sol - v)))
-    return np.array(xs), resid
-
-
 def kks_gram(L: MatrixLieAlgebra, xi, vectors) -> np.ndarray:
     """Matrix of the orbit symplectic form on a tangent frame."""
     c = check_coords(L, xi)
     vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
-    xs, _ = _solve_frame_generators(L, c, vecs)
+    # X_i with ad*_(X_i) xi = v_i, least squares (any solution works, the
+    # form value does not depend on the choice)
+    xs = np.linalg.lstsq(-ad_matrix(L, c), vecs.T, rcond=None)[0].T
     k = len(vecs)
     omega = np.zeros((k, k))
     for i in range(k):

@@ -122,6 +122,12 @@ def test_tensor_opposite_sign_hits_hyperbolic():
     assert out["discretely_decomposable_obstructed"]
 
 
+@pytest.mark.parametrize("n,s1,m,s2", [(0, "+", 3, "+"), (2, "+", 0, "-"), (2, "*", 3, "+")])
+def test_tensor_factors_must_be_elliptic_orbits(n, s1, m, s2):
+    with pytest.raises(UnsupportedAlgebra, match="orbit kind"):
+        tensor_analysis(n, s1, m, s2, samples=10)
+
+
 def test_sopq_family_conditions():
     # the block pairs of so(p,q) are pair_embedding specs; BK decides
     # their temperedness exactly

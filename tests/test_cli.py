@@ -12,6 +12,7 @@ from orbitcone import (
     pair_embedding,
     quaternionic_wf,
     restriction_class_counts,
+    sl2_casimir,
 )
 from orbitcone.induction import SaturationResult
 
@@ -321,6 +322,47 @@ def test_saturation_false_exits_0(tmp_path):
     assert rep["result"]["verdict"] == "false"
 
 
+@pytest.mark.parametrize("pair", ["sl2R|sl2R", "so(2,1)|blocks[(2,1)]"])
+def test_saturation_of_a_trivial_complement_is_false(tmp_path, pair):
+    code, rep, _ = run(["saturation", "--pair", pair], tmp_path)
+    assert code == 0
+    assert rep["inputs"]["annihilator_dim"] == 0
+    assert rep["result"]["verdict"] == "false"
+    assert rep["certificates"] == {}
+
+
+@pytest.fixture(scope="module")
+def tensor_wavefront(tmp_path_factory):
+    """The directions of wavefront --rep tensor:3:+:3:+, one row each, and
+    the csv header."""
+    out = tmp_path_factory.mktemp("tensor") / "out"
+    code = cli.main(["wavefront", "--rep", "tensor:3:+:3:+", "--out", str(out)])
+    with open(out / "directions.csv") as fh:
+        rows = list(csv.reader(fh))
+    return code, rows[0], np.array(rows[1:], dtype=float)
+
+
+def test_tensor_wavefront_lies_in_the_product_of_upper_nappes(tensor_wavefront):
+    code, header, dirs = tensor_wavefront
+    assert code == 0
+    assert len(header) == 6 and dirs.shape[1] == 6
+    for part in (dirs[:, :3], dirs[:, 3:]):
+        scale = np.einsum("ij,ij->i", part, part)
+        assert np.all(sl2_casimir(part) <= 1e-9 * scale)
+        assert np.all(part[:, 2] >= 0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the tensor factors are sampled at "
+                   "one radius, so the far filter never keeps a bounded factor")
+def test_tensor_wavefront_reaches_both_factor_axes(tensor_wavefront):
+    # Nplus x Nplus holds directions with either factor zero, so the mixing
+    # angle atan(|xi_2| / |xi_1|) must reach both ends of [0, 90] degrees
+    _, _, dirs = tensor_wavefront
+    mixing = np.degrees(np.arctan2(np.linalg.norm(dirs[:, 3:], axis=1),
+                                   np.linalg.norm(dirs[:, :3], axis=1)))
+    assert mixing.min() <= 5.0 and mixing.max() >= 85.0
+
+
 def test_induce_writes_class_counts(tmp_path):
     code, rep, out = run(
         ["induce", "--pair", "pair(sl2R, a)", "--samples", "20000"], tmp_path
@@ -426,6 +468,16 @@ def test_tensor_subcommand(tmp_path):
     )
     assert code == 0
     assert rep["result"]["classes"]["elliptic+"] == 2000
+
+
+@pytest.mark.parametrize("label,message", [
+    ("L2_GK", "tensor subcommand needs a tensor(n,s,m,s) label"),
+    ("tensor:2:+", "unknown representation label 'tensor:2:+'"),
+])
+def test_tensor_subcommand_needs_a_tensor_label(tmp_path, capsys, label, message):
+    code, _, out = run(["tensor", "--rep", label], tmp_path)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_timings_opt_in(tmp_path):

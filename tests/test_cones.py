@@ -26,9 +26,8 @@ from orbitcone.cones import (
     _GRAM_CUT,
     FamilyBranch,
     PointFamily,
-    _chord_angles,
+    _angles_to_named,
     _min_angles_to,
-    _nearest_named,
     dedup_directions,
     direction_cone,
 )
@@ -136,21 +135,19 @@ def test_named_cone_distance_matches_its_grid(name):
     grid = cone_directions(C)
     assert np.max(np.abs(table - _min_angles_to(u, grid))) <= RESOLUTION
     assert all(_band_distance(name, d) <= 1e-12 for d in grid)
+    # the closed form is the band distance, and never more than the
+    # grid's, since the grid lies inside the cone
+    exact = _angles_to_named(u, name)
+    assert np.max(np.abs(exact - table)) <= 1e-12
+    assert np.all(exact <= _min_angles_to(u, grid))
     if len(grid) == 0:
         return
     # one grid per name, built once and read-only
     assert cone_directions(exact_cone(name, "so(2,1)", 3)) is grid and not grid.flags.writeable
-    # the cone's own nearest-row rule against every row: by brute force on
-    # 300 directions, and on 100,000 through the general search (brute
-    # force over the 31,687 rows of Full takes a second per 300)
-    rule = _chord_angles(u[:300], grid, _nearest_named(u[:300], name))
-    assert np.max(np.abs(rule - _brute_min_angles(u[:300], grid))) <= 1e-12
-    many = _unit_rows(np.random.default_rng(9), 100_000, 3)
-    rule = _chord_angles(many, grid, _nearest_named(many, name))
-    assert np.max(np.abs(rule - _min_angles_to(many, grid))) <= 1e-12
-    # cone_equal reads that rule for the named side
+    # cone_equal reads the closed form for the named side and covers the
+    # cone with its grid
     sample = sampled_cone(u[:500], "sl2R")
-    defect = max(_min_angles_to(u[:500], grid).max(), _min_angles_to(grid, u[:500]).max())
+    defect = max(exact[:500].max(), _min_angles_to(grid, u[:500]).max())
     assert cone_equal(sample, C, angular_tol=0.0)[1] == defect
 
 
