@@ -268,28 +268,75 @@ def direction_cone(points, algebra: str, dim: int) -> ConeDescription:
     return sampled_cone(dedup_directions(dirs, RESOLUTION), algebra)
 
 
-def _band_grid(phi_lo: float, phi_hi: float) -> np.ndarray:
+def _band_grid(phi_lo: float, phi_hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic near-uniform grid on a latitude band of the 2-sphere,
     one ring per latitude (a single ring when the band is one latitude).
-    Rings and the rows of a ring are at most ``RESOLUTION`` apart."""
+    Rings and the rows of a ring are at most ``RESOLUTION`` apart.  Returns
+    the rows, each ring's polar angle and its row count n (row j at azimuth
+    j 2 pi / n)."""
     rows = max(2, int(np.ceil((phi_hi - phi_lo) / RESOLUTION)) + 1) if phi_hi > phi_lo else 1
+    phis = np.linspace(phi_lo, phi_hi, rows)
     rings = []
-    for phi in np.linspace(phi_lo, phi_hi, rows):
+    for phi in phis:
         s = np.sin(phi)
         ntheta = max(1, int(np.ceil(2 * np.pi * max(s, 1e-9) / RESOLUTION)))
         th = np.linspace(0.0, 2 * np.pi, ntheta, endpoint=False)
         rings.append(np.column_stack([s * np.cos(th), s * np.sin(th), np.full(ntheta, np.cos(phi))]))
-    return np.vstack(rings)
+    return np.vstack(rings), phis, np.array([len(r) for r in rings])
 
 
 @cache
-def _named_grid(name: str) -> np.ndarray:
-    """The direction grid of a named cone on the 2-sphere, built once and
-    read-only."""
-    bands = [_band_grid(lo, hi) for lo, hi in _EXACT_CONES[name][0]]
-    grid = np.vstack(bands) if bands else np.zeros((0, 3))
-    grid.flags.writeable = False
-    return grid
+def _named_grid(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The direction grid of a named cone on the 2-sphere and its ring
+    table (polar angles, ascending, and row counts), built once, read-only."""
+    tables = zip(*(_band_grid(lo, hi) for lo, hi in _EXACT_CONES[name][0]))
+    tables = tuple(np.concatenate(a) for a in tables)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _covered_rows(name: str, targets: np.ndarray, delta: float) -> np.ndarray:
+    """Which rows of a named grid lie surely within ``delta`` of a target.
+
+    A unit target (rho cos theta, rho sin theta, z) covers, on each ring of
+    polar angle phi within delta of its own, the cyclic run of rows within
+    arccos((cos delta - cos phi z) / (sin phi rho)) of azimuth theta: the
+    whole ring when that ratio is at most -1, none above 1.  The ratio is
+    taken at cos delta + 1e-12, beyond any rounding of a run's ends."""
+    grid, phi, count = _named_grid(name)
+    rho, z = np.hypot(targets[:, 0], targets[:, 1]), targets[:, 2]
+    lo, hi = np.searchsorted(phi, np.arctan2(rho, z)[:, None] + [-delta, delta]).T
+    owner = np.repeat(np.arange(len(targets)), hi - lo)
+    ring = np.arange(len(owner)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+    reach = np.sin(phi[ring]) * rho[owner]
+    need = np.cos(delta) + 1e-12 - np.cos(phi[ring]) * z[owner]
+    ratio = np.divide(need, reach, out=np.full(len(ring), -1.0), where=reach > 0)
+    n = count[ring]
+    half = np.where(need <= reach, np.arccos(np.clip(ratio, -1.0, 1.0)), -1.0) * n / (2 * np.pi)
+    theta = np.arctan2(targets[:, 1], targets[:, 0])[owner] * n / (2 * np.pi)
+    start = np.ceil(theta - half).astype(np.intp)  # in rows, as are half and theta
+    size = np.clip(np.floor(theta + half).astype(np.intp) + 1 - start, 0, n)
+    start, base = start % n, (np.cumsum(count) - count)[ring]
+    wrap = np.maximum(start + size - n, 0)  # the part of a run past n, from 0
+    edges = np.bincount(np.r_[base + start, base], minlength=len(grid) + 1)
+    edges -= np.bincount(np.r_[base + start + size - wrap, base + wrap], minlength=len(edges))
+    return np.cumsum(edges)[:-1] > 0
+
+
+def _covering_angle(name: str, targets: np.ndarray) -> np.float64:
+    """``_min_angles_to(grid, targets).max()`` for a named grid, to the bit.
+    Above ``4 * _GRAM_CUT`` products only the rows ``_covered_rows`` leaves
+    at delta are searched, delta halving from ``RESOLUTION`` to 1e-3 until
+    their largest angle reaches it; the covered rows are closer."""
+    grid = _named_grid(name)[0]
+    delta = RESOLUTION if len(grid) * len(targets) > 4 * _GRAM_CUT else 0.0
+    while delta >= 1e-3:
+        rest = grid[~_covered_rows(name, targets, delta)]
+        if len(rest) and (m := _min_angles_to(rest, targets).max()) >= delta:
+            return m
+        delta /= 2
+    return _min_angles_to(grid, targets).max()
 
 
 def _angles_to_named(points: np.ndarray, name: str) -> np.ndarray:
@@ -312,7 +359,7 @@ def cone_directions(C: ConeDescription, seed: int = 0) -> np.ndarray:
         if C.name == "Zero":
             return np.zeros((0, C.dim))
         if C.dim == 3:
-            return _named_grid(C.name)
+            return _named_grid(C.name)[0]
         # Full off the 2-sphere: a random sphere sample
         v = np.random.default_rng(seed).standard_normal((40_000, C.dim))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -344,7 +391,9 @@ def cone_equal(
 
     Returns (equal, defect) where defect is the symmetric Hausdorff angular
     distance between the two direction sets.  Directions are compared with
-    a named cone through their exact angle to its bands.
+    a named cone through their exact angle to its bands.  A named cone on
+    the 2-sphere is covered ring by ring: the grid rows marked near the
+    other set are skipped, the rest searched (``_covering_angle``).
     """
     d1 = cone_directions(C1)
     d2 = cone_directions(C2)
@@ -353,14 +402,14 @@ def cone_equal(
     if len(d1) == 0 or len(d2) == 0:
         return False, float(np.pi)
 
-    def angles(points, C, targets):
+    def angle(points, C, targets, source):
         if C.kind == "exact":
-            return _angles_to_named(points, C.name)
-        return _min_angles_to(points, targets)
+            return _angles_to_named(points, C.name).max()
+        if source.kind == "exact" and source.dim == 3:
+            return _covering_angle(source.name, targets)
+        return _min_angles_to(points, targets).max()
 
-    a = angles(d1, C2, d2).max()
-    b = angles(d2, C1, d1).max()
-    defect = float(max(a, b))
+    defect = float(max(angle(d1, C2, d2, C1), angle(d2, C1, d1, C2)))
     return defect <= angular_tol, defect
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -27,6 +27,7 @@ from orbitcone.cones import (
     FamilyBranch,
     PointFamily,
     _angles_to_named,
+    _covered_rows,
     _min_angles_to,
     dedup_directions,
     direction_cone,
@@ -149,6 +150,61 @@ def test_named_cone_distance_matches_its_grid(name):
     sample = sampled_cone(u[:500], "sl2R")
     defect = max(exact[:500].max(), _min_angles_to(grid, u[:500]).max())
     assert cone_equal(sample, C, angular_tol=0.0)[1] == defect
+
+
+NAMED = [name for name in EXACT_NAMES if name != "Zero"]
+CLOUDS = ("uniform", "cap", "jitter", "grid", "one", "poles")
+
+
+def _cover_cloud(kind, grid, rng, size):
+    """Directions to cover a named grid with: uniform on the sphere, in a
+    0.3 rad cap, the grid rows jittered by at most 1e-3 or taken as they
+    are, one direction, or the two poles."""
+    if kind == "uniform":
+        return _unit_rows(rng, size, 3)
+    if kind == "cap":
+        z = 1.0 - rng.uniform(0.0, 1.0 - np.cos(0.3), size)
+        th = rng.uniform(0.0, 2 * np.pi, size)
+        r = np.sqrt(1.0 - z * z)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        return np.column_stack([r * np.cos(th), r * np.sin(th), z]) @ q.T
+    if kind == "jitter":
+        moved = grid + rng.uniform(-1e-3, 1e-3, grid.shape) * rng.uniform(0.1, 1.0)
+        return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+    if kind == "grid":
+        return grid.copy()
+    if kind == "one":
+        return _unit_rows(rng, 1, 3)
+    return np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(NAMED), kind=st.sampled_from(CLOUDS),
+       seed=st.integers(0, 2**32 - 1), size=st.integers(1, 20_000))
+@example(name="Full", kind="jitter", seed=7, size=1)  # halved 4 times, then found
+@example(name="Full", kind="jitter", seed=0, size=1)  # below the last radius
+@example(name="Full", kind="grid", seed=0, size=1)  # defect 0: every row searched
+@example(name="HypClosure", kind="cap", seed=1, size=20_000)
+def test_covering_side_is_the_full_search(name, kind, seed, size):
+    # the ring marking skips rows, never changes the defect, in either order
+    grid = cone_directions(exact_cone(name, "sl2R", 3))
+    S = _cover_cloud(kind, grid, np.random.default_rng(seed), size)
+    want = max(_angles_to_named(S, name).max(), _min_angles_to(grid, S).max())
+    C, sample = exact_cone(name, "sl2R", 3), sampled_cone(S, "sl2R")
+    assert cone_equal(sample, C)[1] == want
+    assert cone_equal(C, sample)[1] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(NAMED), kind=st.sampled_from(("uniform", "cap", "one", "poles")),
+       seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-3, 0.1))
+def test_covered_rows_lie_within_the_radius(name, kind, seed, delta):
+    grid = cone_directions(exact_cone(name, "sl2R", 3))
+    S = _cover_cloud(kind, grid, np.random.default_rng(seed), 300)
+    marked = _covered_rows(name, S, delta)
+    assert marked.shape == (len(grid),)
+    if marked.any():
+        assert np.all(_brute_min_angles(grid[marked], S) <= delta)
 
 
 @pytest.mark.parametrize("name", EXACT_NAMES)

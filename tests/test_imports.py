@@ -1,8 +1,8 @@
 """Imports of the package modules: every top-level import is used, no
 private name crosses a module boundary, no function imports, the
 package exports exactly what its ``__init__`` imports, the CLI loads
-no scipy module, and the benchmark tracer still finds every function it
-wraps."""
+no scipy module and builds no named grid, and the benchmark tracer still
+finds every function it wraps."""
 
 import ast
 import importlib
@@ -97,14 +97,19 @@ def test_all_lists_exactly_the_imported_names_sorted():
     assert set(orbitcone.__all__) == imported
 
 
-@pytest.fixture(scope="module")
-def cli_modules():
-    """The modules a fresh ``import orbitcone.cli`` loads."""
-    code = "import sys, orbitcone.cli; print(' '.join(sys.modules))"
+def fresh_output(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports the package
+    from this checkout."""
     env = {**os.environ, "PYTHONPATH": str(Path(orbitcone.__file__).parent.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    return set(done.stdout.split())
+    return done.stdout
+
+
+@pytest.fixture(scope="module")
+def cli_modules():
+    """The modules a fresh ``import orbitcone.cli`` loads."""
+    return set(fresh_output("import sys, orbitcone.cli; print(' '.join(sys.modules))").split())
 
 
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.stats", "scipy.integrate",
@@ -117,6 +122,13 @@ def test_cli_import_does_not_load(cli_modules, module):
 def test_cli_import_loads_no_scipy(cli_modules):
     # every CLI process pays for what importing orbitcone.cli loads
     assert sorted(m for m in cli_modules if m.split(".")[0] == "scipy") == []
+
+
+def test_cli_import_builds_no_named_grid():
+    # the named grids and their ring tables are built on first use: every
+    # CLI process, and the benchmark's setup_s, would pay for one built at import
+    code = "import orbitcone.cli, orbitcone.cones as c; print(c._named_grid.cache_info().currsize)"
+    assert fresh_output(code).split() == ["0"]
 
 
 def counter_arguments(source: str) -> dict[str, set[str]]:
