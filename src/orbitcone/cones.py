@@ -27,6 +27,7 @@ from .errors import (
     DimensionTooLarge,
     EmptyFamily,
     InsufficientRadii,
+    NotUnitDirections,
     UnsupportedAlgebra,
 )
 from .liealg import build_algebra, null_rows
@@ -34,12 +35,12 @@ from .liealg import build_algebra, null_rows
 DEFAULT_RADII = (10.0, 30.0, 100.0, 300.0)
 RESOLUTION = 0.02
 MAX_DUAL_DIM = 8
-# the nearest-direction search: n * m up to which one Gram product is the
-# cheapest (and the products of one Gram chunk), the first cube side of the
-# 3-D cell grid, and the candidate pairs it holds at once
+# n * m up to which one Gram product is the cheapest search, and the size
+# of a Gram chunk; the (target, ring) pairs of a chunk of ring runs, and the
+# padding of outward runs
 _GRAM_CUT = 500_000
-_CELL = 0.025
-_CELL_PAIRS = 1 << 16
+_RING_CHUNK = 1 << 14
+_SLACK = 1e-8
 
 _QUARTER = np.pi / 4
 # The named cones, name -> (bands, defining conditions).  Each is the union
@@ -116,9 +117,15 @@ def polyhedral_cone(generators, algebra: str = "R^d") -> ConeDescription:
 
 
 def sampled_cone(directions, algebra: str) -> ConeDescription:
+    """The sampled cone of unit directions, rows finite and of squared norm
+    1 within 2e-9: else ``NotUnitDirections`` names the first that is not."""
     d = np.asarray(directions, dtype=float)
     if d.size == 0:
         d = d.reshape(0, d.shape[1] if d.ndim == 2 else 0)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~(np.abs(np.einsum("ij,ij->i", d, d) - 1.0) <= 2e-9))
+    if len(bad):
+        raise NotUnitDirections(f"direction row {bad[0]} is not a unit vector: {d[bad[0]].tolist()}")
     return ConeDescription(kind="sampled", algebra=algebra, dim=d.shape[1], directions=d)
 
 
@@ -135,89 +142,16 @@ def _chord_angles(points: np.ndarray, targets: np.ndarray, nearest: np.ndarray) 
                             np.linalg.norm(points + t, axis=1))
 
 
-def _nearest_by_gram(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of the target with the largest dot product with each point,
-    one chunk of at most ``_GRAM_CUT`` products at a time."""
+def _min_angles_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each unit row of points, the angle to the nearest unit row of
+    targets (pi when there is none), the one of largest dot product in a
+    Gram product of at most ``_GRAM_CUT`` entries at a time."""
+    if len(targets) == 0:
+        return np.full(len(points), np.pi)
     step = max(1, _GRAM_CUT // len(targets))
     nearest = np.empty(len(points), dtype=np.intp)
     for i in range(0, len(points), step):
         nearest[i:i + step] = np.argmax(points[i:i + step] @ targets.T, axis=1)
-    return nearest
-
-
-def _nearest_by_cells(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of the nearest target to each point, unit rows in 3-D.
-
-    Cubes of side h key every row; the targets, sorted by cell code with
-    z fastest, put each (x, y) column of cells in one run, and one
-    ``bincount``/``cumsum`` table gives each cell's first target.  A point
-    scans the 9 columns of its 3x3x3 block.  A target at chord at most h
-    lies in that block, so a point whose best candidate is that close is
-    done; the others go round again at 2h.  The Gram product finishes the
-    points left once h reaches 2, the largest chord, and takes at once a
-    point whose block holds more than an eighth of the targets, where one
-    Gram row costs less than the scan.  Points go in pieces of about
-    ``_CELL_PAIRS`` candidate pairs.
-    """
-    nearest = np.empty(len(points), dtype=np.intp)
-    todo, gram, h = np.arange(len(points)), [], _CELL
-    while len(todo) and h < 2.0:
-        top = int(np.ceil(2.0 / h))
-        side = top + 3  # keys 1..top + 1, an empty cell at each end
-        # lowest cell of each of the 9 columns of a block, from its centre
-        block = ((np.arange(-1, 2)[:, None] * side + np.arange(-1, 2)) * side - 1).ravel()
-        tk = np.clip(np.floor((targets + 1.0) / h), 0, top).astype(np.intp) + 1
-        tcode = (tk[:, 0] * side + tk[:, 1]) * side + tk[:, 2]
-        order = np.argsort(tcode, kind="stable")
-        sorted_t = targets[order].T.copy()  # one contiguous row per axis
-        start = np.bincount(tcode + 1, minlength=side ** 3 + 1)  # first target of each cell
-        np.cumsum(start, out=start)
-        pk = np.clip(np.floor((points[todo] + 1.0) / h), 0, top).astype(np.intp) + 1
-        centre = (pk[:, 0] * side + pk[:, 1]) * side + pk[:, 2]
-        per = sum(start[centre + b + 3] - start[centre + b] for b in block)
-        crowded = per * 8 > len(targets)
-        gram.append(todo[crowded])
-        todo, centre, per = todo[~crowded], centre[~crowded], per[~crowded]
-        left = []
-        cuts = np.searchsorted(np.cumsum(per), np.arange(_CELL_PAIRS, per.sum(), _CELL_PAIRS))
-        for piece in np.split(np.arange(len(todo)), cuts):
-            idx, cell = todo[piece], centre[piece, None] + block
-            lo = start[cell].ravel()
-            count = start[cell + 3].ravel() - lo
-            flat = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-            owner = np.repeat(np.arange(len(idx)), per[piece])
-            # the squared chord summed over x, y, z in order, as the norm does
-            d2 = np.zeros(len(flat))
-            for k in range(3):
-                diff = points[idx, k][owner] - sorted_t[k][flat]
-                d2 += diff * diff
-            best = np.full(len(idx), np.inf)
-            has = per[piece] > 0
-            best[has] = np.minimum.reduceat(d2, (np.cumsum(per[piece]) - per[piece])[has])
-            hit = np.flatnonzero(d2 == best[owner])
-            first = hit[np.diff(owner[hit], prepend=-1) != 0]
-            nearest[idx[owner[first]]] = order[flat[first]]
-            left.append(idx[best > (h * (1.0 - 1e-9)) ** 2])
-        todo, h = np.concatenate(left), 2.0 * h
-    gram = np.concatenate([*gram, todo])
-    nearest[gram] = _nearest_by_gram(points[gram], targets)
-    return nearest
-
-
-def _min_angles_to(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """For each unit row of points, the angle to the nearest unit row of
-    targets (pi when there is none).
-
-    The nearest target (the shortest chord, the largest dot product) comes
-    from chunked Gram products, or in 3-D above ``_GRAM_CUT`` pairs from a
-    cell grid.
-    """
-    if len(targets) == 0:
-        return np.full(len(points), np.pi)
-    if points.shape[1] == 3 and len(points) * len(targets) > _GRAM_CUT:
-        nearest = _nearest_by_cells(points, targets)
-    else:
-        nearest = _nearest_by_gram(points, targets)
     return _chord_angles(points, targets, nearest)
 
 
@@ -296,47 +230,83 @@ def _named_grid(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _covered_rows(name: str, targets: np.ndarray, delta: float) -> np.ndarray:
-    """Which rows of a named grid lie surely within ``delta`` of a target.
+def _ring_runs(name: str, targets: np.ndarray, radius: float, outward: bool = False):
+    """Runs of the rows of a named grid near unit targets, ``_RING_CHUNK``
+    target rings at a time: row ranges [a, b) of the grid, each target's.
 
-    A unit target (rho cos theta, rho sin theta, z) covers, on each ring of
-    polar angle phi within delta of its own, the cyclic run of rows within
-    arccos((cos delta - cos phi z) / (sin phi rho)) of azimuth theta: the
-    whole ring when that ratio is at most -1, none above 1.  The ratio is
-    taken at cos delta + 1e-12, beyond any rounding of a run's ends."""
-    grid, phi, count = _named_grid(name)
-    rho, z = np.hypot(targets[:, 0], targets[:, 1]), targets[:, 2]
-    lo, hi = np.searchsorted(phi, np.arctan2(rho, z)[:, None] + [-delta, delta]).T
-    owner = np.repeat(np.arange(len(targets)), hi - lo)
-    ring = np.arange(len(owner)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
-    reach = np.sin(phi[ring]) * rho[owner]
-    need = np.cos(delta) + 1e-12 - np.cos(phi[ring]) * z[owner]
-    ratio = np.divide(need, reach, out=np.full(len(ring), -1.0), where=reach > 0)
-    n = count[ring]
-    half = np.where(need <= reach, np.arccos(np.clip(ratio, -1.0, 1.0)), -1.0) * n / (2 * np.pi)
-    theta = np.arctan2(targets[:, 1], targets[:, 0])[owner] * n / (2 * np.pi)
-    start = np.ceil(theta - half).astype(np.intp)  # in rows, as are half and theta
-    size = np.clip(np.floor(theta + half).astype(np.intp) + 1 - start, 0, n)
-    start, base = start % n, (np.cumsum(count) - count)[ring]
-    wrap = np.maximum(start + size - n, 0)  # the part of a run past n, from 0
-    edges = np.bincount(np.r_[base + start, base], minlength=len(grid) + 1)
-    edges -= np.bincount(np.r_[base + start + size - wrap, base + wrap], minlength=len(edges))
+    A target (rho cos theta, rho sin theta, z) reaches, on each ring of
+    polar angle phi within radius of its own, the cyclic run of rows within
+    arccos((cos radius - cos phi z) / (sin phi rho)) of azimuth theta (the
+    whole ring at a ratio of at most -1, none above 1), split in two where
+    it wraps.  Inward runs hold only rows surely within radius (the ratio at
+    cos radius + 1e-12, ends rounded in); outward runs hold every row within
+    it (radius padded and its cosine lowered by ``_SLACK``, ends rounded out)."""
+    _, phi, count = _named_grid(name)
+    pad, tilt = (_SLACK, -_SLACK) if outward else (0.0, 1e-12)
+    first, last = (np.floor, np.ceil) if outward else (np.ceil, np.floor)
+    step = max(1, int(_RING_CHUNK / (2 * radius / RESOLUTION + 2)))
+    for k in range(0, len(targets), step):
+        t = targets[k:k + step]
+        rho, z = np.hypot(t[:, 0], t[:, 1]), t[:, 2]
+        lo, hi = np.searchsorted(phi, np.arctan2(rho, z)[:, None] + [-radius - pad, radius + pad]).T
+        owner = np.repeat(np.arange(len(t)), hi - lo)
+        ring = np.arange(len(owner)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+        reach = np.sin(phi)[ring] * rho[owner]
+        need = np.cos(radius) + tilt - np.cos(phi)[ring] * z[owner]
+        ratio = np.divide(need, reach, out=np.full(len(ring), -1.0), where=reach > 0)
+        n = count[ring]
+        half = np.where(need <= reach, np.arccos(np.clip(ratio, -1.0, 1.0)), -1.0) * n / (2 * np.pi)
+        theta = np.arctan2(t[:, 1], t[:, 0])[owner] * n / (2 * np.pi)
+        start = first(theta - half).astype(np.intp)  # in rows, as are half and theta
+        size = np.clip(last(theta + half).astype(np.intp) + 1 - start, 0, n)
+        start, base = start % n, (np.cumsum(count) - count)[ring]
+        wrap = np.maximum(start + size - n, 0)  # the part of a run past n, from 0
+        yield (np.r_[base + start, base], np.r_[base + start + size - wrap, base + wrap],
+               np.r_[owner, owner] + k)
+
+
+def _covered_rows(name: str, targets: np.ndarray, delta: float) -> np.ndarray:
+    """Which rows of a named grid lie surely within ``delta`` of a target:
+    those in its inward runs, marked by run starts minus run ends."""
+    edges = np.zeros(len(_named_grid(name)[0]) + 1, dtype=np.intp)
+    for a, b, _ in _ring_runs(name, targets, delta):
+        edges += np.bincount(a, minlength=len(edges)) - np.bincount(b, minlength=len(edges))
     return np.cumsum(edges)[:-1] > 0
 
 
-def _covering_angle(name: str, targets: np.ndarray) -> np.float64:
-    """``_min_angles_to(grid, targets).max()`` for a named grid, to the bit.
-    Above ``4 * _GRAM_CUT`` products only the rows ``_covered_rows`` leaves
-    at delta are searched, delta halving from ``RESOLUTION`` to 1e-3 until
-    their largest angle reaches it; the covered rows are closer."""
+def _nearest_angles(name: str, targets: np.ndarray, todo: np.ndarray, radius: float) -> np.ndarray:
+    """The angle from each row ``todo`` of a named grid to its nearest
+    target, 0 on the others.  Counts of ``todo`` rows map each outward run
+    at radius r to its rows in ``todo``; a row takes the least chord angle
+    of its pairs, exact once at most r.  The rest go round at 2r, and to
+    ``_min_angles_to`` past ``4 * RESOLUTION`` or ``_GRAM_CUT`` pairs."""
     grid = _named_grid(name)[0]
-    delta = RESOLUTION if len(grid) * len(targets) > 4 * _GRAM_CUT else 0.0
-    while delta >= 1e-3:
-        rest = grid[~_covered_rows(name, targets, delta)]
-        if len(rest) and (m := _min_angles_to(rest, targets).max()) >= delta:
-            return m
-        delta /= 2
-    return _min_angles_to(grid, targets).max()
+    best = np.zeros(len(grid))
+    best[todo] = np.pi
+    while len(todo) and radius <= 4 * RESOLUTION and len(todo) * len(targets) > _GRAM_CUT:
+        slot = np.searchsorted(todo, np.arange(len(grid) + 1))  # todo rows before each grid row
+        for a, b, owner in _ring_runs(name, targets, radius, outward=True):
+            a, count = slot[a], slot[b] - slot[a]
+            row = todo[np.arange(count.sum()) + np.repeat(a - (np.cumsum(count) - count), count)]
+            np.minimum.at(best, row, _chord_angles(grid[row], targets, np.repeat(owner, count)))
+        todo = todo[best[todo] > radius]
+        radius *= 2.0
+    best[todo] = _min_angles_to(grid[todo], targets)
+    return best
+
+
+def _covering_angle(name: str, targets: np.ndarray) -> np.float64:
+    """``_min_angles_to(grid, targets).max()`` for a named grid.  Above
+    ``4 * _GRAM_CUT`` products, the rows ``_covered_rows`` leaves at
+    ``RESOLUTION`` hold the answer once their largest angle reaches it; else
+    every row is that close to a target, and one search at it finds all."""
+    grid = _named_grid(name)[0]
+    if len(grid) * len(targets) <= 4 * _GRAM_CUT:
+        return _min_angles_to(grid, targets).max()
+    rest = np.flatnonzero(~_covered_rows(name, targets, RESOLUTION))
+    if (m := _nearest_angles(name, targets, rest, 2 * RESOLUTION).max()) >= RESOLUTION:
+        return m
+    return _nearest_angles(name, targets, np.arange(len(grid)), RESOLUTION).max()
 
 
 def _angles_to_named(points: np.ndarray, name: str) -> np.ndarray:
@@ -392,8 +362,8 @@ def cone_equal(
     Returns (equal, defect) where defect is the symmetric Hausdorff angular
     distance between the two direction sets.  Directions are compared with
     a named cone through their exact angle to its bands.  A named cone on
-    the 2-sphere is covered ring by ring: the grid rows marked near the
-    other set are skipped, the rest searched (``_covering_angle``).
+    the 2-sphere is covered ring by ring: the grid rows not marked near
+    the other set are searched on its ring runs (``_covering_angle``).
     """
     d1 = cone_directions(C1)
     d2 = cone_directions(C2)

@@ -21,6 +21,10 @@ class DegenerateForm(OrbitConeError):
     """A bilinear form required to be nondegenerate is numerically singular."""
 
 
+class NotUnitDirections(OrbitConeError):
+    """A sampled cone was given a row that is not a finite unit vector."""
+
+
 class ZeroPoint(OrbitConeError):
     """Operation requires a nonzero point."""
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
+from scipy.spatial import cKDTree
 
 from orbitcone import (
     OrbitParam,
@@ -29,10 +30,11 @@ from orbitcone.cones import (
     _angles_to_named,
     _covered_rows,
     _min_angles_to,
+    _ring_runs,
     dedup_directions,
     direction_cone,
 )
-from orbitcone.errors import InsufficientRadii, UnsupportedAlgebra
+from orbitcone.errors import InsufficientRadii, NotUnitDirections, UnsupportedAlgebra
 
 
 @pytest.fixture(scope="module")
@@ -178,18 +180,25 @@ def _cover_cloud(kind, grid, rng, size):
     return np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
+def _nearest_by_tree(points, targets):
+    """The angle from each unit row of points to its nearest target by
+    Euclidean distance (a k-d tree), in the formula 2 atan2(|p - t|, |p + t|)."""
+    t = targets[cKDTree(targets).query(points)[1]]
+    return 2.0 * np.arctan2(np.linalg.norm(points - t, axis=1), np.linalg.norm(points + t, axis=1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(NAMED), kind=st.sampled_from(CLOUDS),
        seed=st.integers(0, 2**32 - 1), size=st.integers(1, 20_000))
-@example(name="Full", kind="jitter", seed=7, size=1)  # halved 4 times, then found
-@example(name="Full", kind="jitter", seed=0, size=1)  # below the last radius
+@example(name="Full", kind="jitter", seed=7, size=1)  # every row within RESOLUTION
+@example(name="Full", kind="jitter", seed=0, size=1)
 @example(name="Full", kind="grid", seed=0, size=1)  # defect 0: every row searched
-@example(name="HypClosure", kind="cap", seed=1, size=20_000)
+@example(name="HypClosure", kind="cap", seed=1, size=20_000)  # far rows: several rounds
 def test_covering_side_is_the_full_search(name, kind, seed, size):
     # the ring marking skips rows, never changes the defect, in either order
     grid = cone_directions(exact_cone(name, "sl2R", 3))
     S = _cover_cloud(kind, grid, np.random.default_rng(seed), size)
-    want = max(_angles_to_named(S, name).max(), _min_angles_to(grid, S).max())
+    want = max(_angles_to_named(S, name).max(), _nearest_by_tree(grid, S).max())
     C, sample = exact_cone(name, "sl2R", 3), sampled_cone(S, "sl2R")
     assert cone_equal(sample, C)[1] == want
     assert cone_equal(C, sample)[1] == want
@@ -205,6 +214,30 @@ def test_covered_rows_lie_within_the_radius(name, kind, seed, delta):
     assert marked.shape == (len(grid),)
     if marked.any():
         assert np.all(_brute_min_angles(grid[marked], S) <= delta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(NAMED), kind=st.sampled_from(("uniform", "cap", "one", "poles")),
+       seed=st.integers(0, 2**32 - 1), radius=st.floats(1e-3, 0.5))
+@example(name="Full", kind="poles", seed=2, radius=0.3)  # a whole ring on the boundary
+def test_outward_runs_hold_every_pair_within_the_radius(name, kind, seed, radius):
+    rng = np.random.default_rng(seed)
+    grid = cone_directions(exact_cone(name, "sl2R", 3))
+    S = _cover_cloud(kind, grid, rng, 40)
+    # norms off 1 by up to the 1e-9 that sampled_cone takes
+    S *= rng.uniform(1 - 1e-9, 1 + 1e-9, (len(S), 1))
+    angle = np.vstack([_brute_angles(grid[k:k + 1000], S) for k in range(0, len(grid), 1000)])
+    # the radius is snapped to the largest pair angle below it, so that a
+    # pair lies on the boundary
+    below = angle[angle <= radius]
+    radius = below.max() if below.size else radius
+    want = np.flatnonzero(angle <= radius)  # row * len(S) + target
+    got = []
+    for a, b, owner in _ring_runs(name, S, radius, outward=True):
+        size = b - a
+        row = np.arange(size.sum()) + np.repeat(a - (np.cumsum(size) - size), size)
+        got.append(row * len(S) + np.repeat(owner, size))
+    assert np.all(np.isin(want, np.concatenate(got)))
 
 
 @pytest.mark.parametrize("name", EXACT_NAMES)
@@ -372,6 +405,24 @@ def test_ac_union_lemma_on_random_families(sl2):
         assert ok, (trial, defect)
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ([[0.0, 0.0, 2.0]], 0),
+    ([[0.0, 0.0, 1.0], [3.0, 0.0, 3.0]], 1),
+    ([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], 1),
+    ([[np.nan, 0.0, 1.0]], 0),
+    ([[0.0, 1.0, 0.0], [np.inf, 0.0, 0.0]], 1),
+    ([[1e200, 1e200, 0.0]], 0),
+    ([[0.0, 0.0, 1.0 + 2e-9]], 0),
+])
+def test_sampled_cone_takes_only_unit_rows(rows, bad):
+    # a row of norm 2 once compared as its direction's chord, 0.6435 from
+    # the same direction of norm 1
+    with pytest.raises(NotUnitDirections, match=f"row {bad} "):
+        sampled_cone(np.array(rows), "sl2R")
+    near = sampled_cone(np.array([[0.0, 0.0, 1.0 + 5e-10]]), "sl2R")
+    assert cone_equal(near, sampled_cone(np.array([[0.0, 0.0, 1.0]]), "sl2R"))[0]
+
+
 def test_sampled_cone_roundtrip_through_directions():
     dirs = np.array([[0.0, 0.0, 1.0], [np.sqrt(0.5), 0.0, np.sqrt(0.5)]])
     C = sampled_cone(dirs, "sl2R")
@@ -394,20 +445,22 @@ def _unit_rows(rng, n, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _brute_min_angles(points, targets):
+def _brute_angles(points, targets):
     # 2 atan2(|u - v|, |u + v|) is the angle between unit u and v, well
-    # conditioned at 0 and at pi alike; 100 points at a time
-    out = []
-    for k in range(0, len(points), 100):
-        p = points[k:k + 100, None, :]
-        diff = np.linalg.norm(p - targets[None, :, :], axis=2)
-        summ = np.linalg.norm(p + targets[None, :, :], axis=2)
-        out.append((2.0 * np.arctan2(diff, summ)).min(axis=1))
-    return np.concatenate(out)
+    # conditioned at 0 and at pi alike
+    diff = np.linalg.norm(points[:, None, :] - targets[None, :, :], axis=2)
+    summ = np.linalg.norm(points[:, None, :] + targets[None, :, :], axis=2)
+    return 2.0 * np.arctan2(diff, summ)
+
+
+def _brute_min_angles(points, targets):
+    # 100 points at a time
+    return np.concatenate([_brute_angles(points[k:k + 100], targets).min(axis=1)
+                           for k in range(0, len(points), 100)])
 
 
 @pytest.mark.parametrize("dim,size", [*((d, 60) for d in range(2, 9)), (3, 600)],
-                         ids=[*map(str, range(2, 9)), "3-cells"])
+                         ids=[*map(str, range(2, 9)), "3-chunked"])
 def test_min_angles_to_matches_brute_force(dim, size, monkeypatch):
     rng = np.random.default_rng(dim)
     base = _unit_rows(rng, size, dim)
@@ -417,9 +470,9 @@ def test_min_angles_to_matches_brute_force(dim, size, monkeypatch):
     got = _min_angles_to(points, targets)
     assert np.max(np.abs(got - _brute_min_angles(points, targets))) <= 1e-12
     if len(points) * len(targets) > _GRAM_CUT:
-        # the cell grid: most of these points have no target within its
-        # first cube side.  With no cut a single target takes that path
-        # too, and its antipode goes round until the Gram product takes it
+        # the Gram product went in chunks of rows; with no cut each chunk
+        # is one row, the single target's antipode among them
+        assert len(points) * len(targets) > 2 * _GRAM_CUT
         monkeypatch.setattr("orbitcone.cones._GRAM_CUT", 0)
     # a single target, including its own antipode
     single = base[:1]
