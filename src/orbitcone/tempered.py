@@ -21,6 +21,7 @@ orthonormal frame of that form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -93,9 +94,10 @@ def weights_of_action(mats, module_dim: int | None = None) -> WeightSystem:
     The matrices are ad(Y) of split elements written in an orthonormal
     frame (see ``split_abelian``); a non-symmetric input raises
     UnsupportedAlgebra.  One symmetric eigendecomposition of a generic
-    combination gives an orthonormal eigenbasis; each generator must act
-    as a scalar on each of its eigenspaces.  Returns the joint weights
-    with multiplicities; eigenvalues within 1e-6 of an integer are
+    combination gives an orthonormal eigenbasis; each eigenvector u must
+    be mapped by every generator M to a multiple of itself, and its joint
+    weight is read as the Rayleigh quotients u.M u.  Returns the joint
+    weights with multiplicities; values within 1e-6 of an integer are
     snapped so downstream checks can run exactly.  An empty acting space
     carries the single zero weight with the module's full multiplicity.
     """
@@ -105,7 +107,6 @@ def weights_of_action(mats, module_dim: int | None = None) -> WeightSystem:
         if module_dim is None:
             raise UnsupportedAlgebra("empty action needs an explicit module_dim")
         return WeightSystem(0, (((), module_dim),), True)
-    n = mats.shape[1]
     scale = max(1.0, np.max(np.abs(mats)))
     if np.max(np.abs(mats - np.swapaxes(mats, 1, 2))) > COMMUTE_TOL * scale:
         raise UnsupportedAlgebra("action matrices are not symmetric")
@@ -117,35 +118,21 @@ def weights_of_action(mats, module_dim: int | None = None) -> WeightSystem:
         raise NonCommuting(f"action matrices {i} and {j} do not commute")
     rng = np.random.default_rng(11)
     for _ in range(8):
-        vals, U = np.linalg.eigh(np.tensordot(rng.standard_normal(k), mats, axes=1))
-        # a cluster starts more than 1e-6 * scale above its first value
-        starts = [0]
-        for i in range(1, n):
-            if vals[i] - vals[starts[-1]] > 1e-6 * scale:
-                starts.append(i)
-        mults = np.diff(starts + [n])
-        B = U.T @ mats @ U
-        lam = np.add.reduceat(np.diagonal(B, axis1=1, axis2=2), starts, axis=1) / mults
-        # a generic combo separates weights, so each generator must act as
-        # a scalar on the whole eigenspace
-        off = B - np.repeat(lam, mults, axis=1)[:, None, :] * np.eye(n)
-        err = np.sqrt(np.add.reduceat(np.sum(off * off, axis=1), starts, axis=1))
-        if np.all(err <= 1e-6 * scale * np.sqrt(mults)):
+        _, U = np.linalg.eigh(np.tensordot(rng.standard_normal(k), mats, axes=1))
+        MU = mats @ U
+        lam = np.einsum("kij,ij->jk", MU, U)  # row j: the weight read on u_j
+        # a generic combination separates the weights, so each of its
+        # eigenvectors must be an eigenvector of every generator
+        if np.all(np.linalg.norm(MU - lam.T[:, None, :] * U, axis=1) <= 1e-6 * scale):
             break
     else:
         raise NonCommuting("no generic combination separated the weights")
-    lam = np.repeat(lam.T, mults, axis=0)
     snapped = np.round(lam)
     integral = bool(np.max(np.abs(lam - snapped)) <= INT_SNAP_TOL)
     if integral:
-        lam = snapped
-    groups: dict[tuple, int] = {}
-    for col in range(n):
-        if integral:
-            key = tuple(int(x) for x in lam[col])
-        else:
-            key = tuple(round(float(x), 9) for x in lam[col])
-        groups[key] = groups.get(key, 0) + 1
+        groups = Counter(map(tuple, snapped.astype(int).tolist()))
+    else:
+        groups = Counter(tuple(round(x, 9) for x in row) for row in lam.tolist())
     weights = tuple(sorted(groups.items()))
     for w, m in weights:
         if any(abs(x) > 0 for x in w):

@@ -114,6 +114,10 @@ def test_tensor_same_sign_is_elliptic():
     assert out["classes"]["hyperbolic"] == 0
     assert out["sum_cone_class"] == "elliptic-plus"
     assert not out["discretely_decomposable_obstructed"]
+    out = tensor_analysis(3, "-", 2, "-", samples=10_000, seed=6)
+    assert out["classes"] == {"elliptic+": 0, "elliptic-": 10_000, "hyperbolic": 0, "null": 0}
+    assert out["sum_cone_class"] == "elliptic-minus"
+    assert not out["discretely_decomposable_obstructed"]
 
 
 def test_tensor_opposite_sign_hits_hyperbolic():

@@ -14,6 +14,7 @@ from orbitcone import (
     restriction_class_counts,
     sl2_casimir,
 )
+from orbitcone import cones, induction
 from orbitcone.induction import SaturationResult
 
 
@@ -199,6 +200,14 @@ def test_validation_errors_exit_2(tmp_path):
         ["ac", "--rep", "tensor(3,+,2,-"],
         # a representation over another algebra than the pair's ambient
         ["restrict", "--pair", "su(2,1)|so(2,1)", "--rep", "L2_GK"],
+        # documented exits that no other run reaches
+        ["induce", "--pair", "sl2R|a", "--samples", "999"],
+        ["tempered", "--pair", "so(2,0)|blocks[(1,0),(1,0)]"],
+        ["tempered", "--pair", "so(3,1)|blocks[(1,1)"],
+        ["tempered", "--pair", "so(3,1)|sl2R"],
+        ["tempered", "--pair", "so(5,5)|blocks[(5,5)]"],
+        ["dual", "--generators", "1,0,0,0,0,0,0,0,0"],
+        ["tempered", "--pair", "foo"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
@@ -214,14 +223,18 @@ def test_validation_errors_exit_2(tmp_path):
          "blocks-trailing-comma", "blocks-empty-block", "sigma-hyp-two-points",
          "sigma-hyp-point-only", "nil-value", "scan-nil-value", "scan-zero-orbit",
          "orbit-point", "label-unclosed", "label-colon-closed", "tensor-unclosed",
-         "restrict-rep-ambient"],
+         "restrict-rep-ambient", "induce-samples-few", "blocks-all-trivial",
+         "blocks-unclosed", "pair-not-in-catalog", "split-dim-too-large",
+         "dual-dim-9", "pair-unknown"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, capsys, args):
     code, _, out = run(args, tmp_path)
     assert code == 2
     assert not out.exists()  # no report, no side file, not even the directory
+    err = capsys.readouterr().err
+    assert "error:" in err
     if args[-1] == "point":
-        assert "orbit kind 'point'" in capsys.readouterr().err
+        assert "orbit kind 'point'" in err
 
 
 @pytest.mark.parametrize("sub", ["afile", "afile/below"])
@@ -254,6 +267,29 @@ def test_output_directories_are_byte_identical_across_runs(tmp_path, args):
     assert names[0] == names[1] and "report.json" in names[0]
     for name in names[0]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+CHUNKED_RUNS = [
+    ["golden-table", "--seed", "0"],
+    ["induce", "--pair", "sl2R|a", "--samples", "100000"],
+    ["induce", "--pair", "so(2,2)|blocks[(1,1),(1,1)]", "--samples", "4000"],
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("gram, ring, move", [(2 * 10**4, 64, 100), (5 * 10**7, 1 << 20, 10**6)],
+                         ids=["small", "large"])
+def test_reports_do_not_depend_on_chunk_sizes(tmp_path, monkeypatch, gram, ring, move):
+    # the chunk sizes bound memory only: every file keeps its bytes
+    def files(sub):
+        outs = [run(args, tmp_path, f"{sub}{i}")[2] for i, args in enumerate(CHUNKED_RUNS)]
+        return [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+
+    want = files("default")
+    monkeypatch.setattr(cones, "_GRAM_CUT", gram)
+    monkeypatch.setattr(cones, "_RING_CHUNK", ring)
+    monkeypatch.setattr(induction, "_MOVE_CHUNK", move)
+    assert files("chunked") == want
 
 
 def test_help_returns_0(capsys):

@@ -56,6 +56,18 @@ def test_single_elliptic_orbit_has_upper_nappe(sl2):
     assert ok, defect
 
 
+def test_cone_off_by_more_than_the_tolerance_is_not_equal():
+    # a ring 0.07 rad below the upper nappe: its defect is just over 0.07,
+    # which a tolerance of 0.05 must refuse, not any multiple of it
+    th = np.pi / 4 + 0.07
+    ph = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+    ring = np.column_stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                            np.full(400, np.cos(th))])
+    ok, defect = cone_equal(sampled_cone(ring, "sl2R"), exact_cone("Nplus", "sl2R", 3),
+                            angular_tol=0.05)
+    assert not ok and 0.07 < defect < 0.0703
+
+
 @pytest.mark.parametrize(
     "kind,expected",
     [

@@ -87,6 +87,20 @@ def test_wrong_inclusion_names_its_pair(sub, rows, pair):
         make_embedding(build_algebra("sl2R"), build_algebra(sub), rows)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a null line of the Killing form: it meets its own orthogonal
+        ([[1, 0, 1]], "sub and complement do not span the ambient"),
+        # the zero map annihilates nothing, so its complement is all of sl2R
+        ([[0, 0, 0]], "complement dimension mismatch"),
+    ],
+)
+def test_degenerate_pair_is_refused(rows, message):
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        make_embedding(build_algebra("sl2R"), build_algebra("abelian(1)"), rows)
+
+
 def test_pullback_identity(embedding):
     # as bilinear forms in chart coordinates: Q^T G_h = G_g I^T
     E = embedding

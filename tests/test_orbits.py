@@ -141,6 +141,10 @@ def test_tangent_rank_matches_svd(sl2):
     assert len(tangent_basis(sl2, [0.0, 0.0, 2.0])) == 2
     with pytest.raises(ZeroPoint):
         tangent_basis(sl2, [0.0, 0.0, 0.0])
+    # a factor a million times smaller still carries its two tangent rows
+    prod = build_algebra("prod(sl2R,sl2R)")
+    for a in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]):
+        assert len(tangent_basis(prod, a + [1e-6 * x for x in a])) == 4
 
 
 def test_kks_antisymmetry_and_closedness_inputs(sl2):
