@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (
-    DEFAULT_RADII,
     RESOLUTION,
     ConeDescription,
     FamilyBranch,
@@ -53,10 +52,7 @@ def _product_family(p1: OrbitParam, p2: OrbitParam) -> PointFamily:
     b1, b2 = orbit_branch(L, p1), orbit_branch(L, p2)
 
     def sample(rng, radius, count):
-        a = b1.sample(rng, radius, count)
-        b = b2.sample(rng, radius, count)
-        n = min(len(a), len(b))
-        return np.hstack([a[:n], b[:n]])
+        return np.hstack([b1.sample(rng, radius, count), b2.sample(rng, radius, count)])
 
     return PointFamily(
         algebra=amb.name,
@@ -137,14 +133,11 @@ def representation(label: str) -> RepresentationSpec:
 
 
 def wavefront_of(
-    spec: RepresentationSpec,
-    radii=DEFAULT_RADII,
-    samples_per_radius: int = 6000,
-    seed: int = 0,
+    spec: RepresentationSpec, samples: int = 6000, seed: int = 0
 ) -> ConeDescription:
     """Wave front set of a catalog representation: the asymptotic cone of
     its orbital support."""
-    return asymptotic_cone(spec.orbital_support, radii, samples_per_radius, seed)
+    return asymptotic_cone(spec.orbital_support, samples, seed)
 
 
 GOLDEN_ROWS = (
@@ -163,7 +156,7 @@ GOLDEN_ROWS = (
 
 def golden_table(
     seed: int = 0,
-    samples_per_radius: int = 6000,
+    samples: int = 6000,
     angular_tol: float = 0.05,
 ) -> list[dict]:
     """Recompute every golden identity by sampling and compare with the
@@ -172,7 +165,7 @@ def golden_table(
     for label, expected in GOLDEN_ROWS:
         t0 = time.perf_counter()
         spec = representation(label)
-        cone = wavefront_of(spec, samples_per_radius=samples_per_radius, seed=seed)
+        cone = wavefront_of(spec, samples=samples, seed=seed)
         target = exact_cone(expected, "sl2R", 3)
         ok, defect = cone_equal(cone, target, angular_tol=angular_tol)
         rows.append(

@@ -13,15 +13,16 @@ Each subcommand computes and returns its report sections and side tables;
 ``main`` builds the config section from the parsed options and writes
 every file.  Each parser takes only the options its subcommand reads:
 --seed, --out and --timings everywhere, --samples where something is
-sampled, --radii and --angular-tol only where they are used.  The parser is
+sampled, --angular-tol only where cones are compared.  The parser is
 built once per process, on the first call to ``main``; parsing leaves it
 unchanged, so every call still parses its arguments afresh.
 
 Exit codes: 0 success, 2 validation error (bad options, bad numeric
-values, radii outside (0, MAX_RADIUS], unknown names, an --out under a
-regular file, orbit samples that overflow in orbit-sample or
-measure-scan; nothing is written), 3 mathematically inconclusive (a
-saturation search that exhausts its budget without a verdict).
+values, an orbit-sample --radius outside (0, MAX_RADIUS], unknown names,
+an --out under a regular file, orbit samples that overflow in
+orbit-sample or measure-scan; nothing is written), 3 mathematically
+inconclusive (a saturation search that exhausts its budget without a
+verdict).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .catalog import (
     wavefront_of,
 )
 from .cones import (
-    DEFAULT_RADII,
     EXACT_NAMES,
     cone_directions,
     cone_equal,
@@ -94,19 +94,6 @@ def _parse_vector(text: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise OrbitConeError(f"vector entries must be finite, got {text!r}")
     return v
-
-
-def _check_radius(radius: float) -> float:
-    if not 0 < radius <= MAX_RADIUS:
-        raise OrbitConeError(f"radius {radius:g} is outside (0, {MAX_RADIUS:g}]")
-    return radius
-
-
-def _parse_radii(text: str):
-    vals = tuple(_check_radius(r) for r in _parse_vector(text))
-    if len(vals) < 3:
-        raise OrbitConeError("--radii needs at least 3 comma-separated values")
-    return vals
 
 
 def _parse_orbit(text: str, L) -> OrbitParam:
@@ -174,8 +161,6 @@ def _config(args) -> dict:
         if args.samples < 1:
             raise OrbitConeError(f"--samples must be at least 1, got {args.samples}")
         budgets["samples"] = args.samples
-    if "radii" in args:
-        budgets["radii"] = list(_parse_radii(args.radii))
     if "angular_tol" in args:
         if not (np.isfinite(args.angular_tol) and args.angular_tol > 0):
             raise OrbitConeError(
@@ -212,7 +197,8 @@ def _cmd_classify(args) -> _Run:
 
 def _orbit_points(L, param: OrbitParam, count: int, seed: int, radius: float):
     """``orbit_sample`` at a radius in (0, MAX_RADIUS], with finite points."""
-    _check_radius(radius)
+    if not 0 < radius <= MAX_RADIUS:
+        raise OrbitConeError(f"radius {radius:g} is outside (0, {MAX_RADIUS:g}]")
     with np.errstate(over="ignore", invalid="ignore"):
         pts = orbit_sample(L, param, count, seed=seed, radius=radius)
     if not np.all(np.isfinite(pts)):
@@ -234,10 +220,7 @@ def _cmd_orbit_sample(args) -> _Run:
 
 def _cmd_ac(args) -> _Run:
     spec = representation(args.rep)
-    cone = wavefront_of(
-        spec, radii=_parse_radii(args.radii), samples_per_radius=args.samples,
-        seed=args.seed,
-    )
+    cone = wavefront_of(spec, samples=args.samples, seed=args.seed)
     dirs = cone_directions(cone, args.seed)
     expected = dict(GOLDEN_ROWS).get(spec.label)
     certificates = {}
@@ -306,7 +289,7 @@ def _cmd_restrict(args) -> _Run:
                 f"representation lives over {spec.orbital_support.algebra}, "
                 f"embedding ambient is {E.ambient.name}"
             )
-        C = wavefront_of(spec, seed=args.seed, samples_per_radius=args.samples)
+        C = wavefront_of(spec, seed=args.seed, samples=args.samples)
     else:
         raise OrbitConeError("restrict needs --cone or --rep")
     bound = restriction_lower_bound(E, C, seed=args.seed)
@@ -356,7 +339,7 @@ def _cmd_tensor(args) -> _Run:
 
 def _cmd_golden_table(args) -> _Run:
     rows = golden_table(
-        seed=args.seed, samples_per_radius=args.samples, angular_tol=args.angular_tol
+        seed=args.seed, samples=args.samples, angular_tol=args.angular_tol
     )
     all_ok = all(r["ok"] for r in rows)
     for r in rows:
@@ -439,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                 command="ac")
         p.add_argument("--rep", required=True)
         p.add_argument("--samples", type=int, default=6000)
-        p.add_argument("--radii", type=str,
-                       default=",".join(f"{r:g}" for r in DEFAULT_RADII))
         p.add_argument("--angular-tol", type=float, default=0.05)
 
     p = add("dual", _cmd_dual, "dual of a polyhedral cone")

@@ -11,8 +11,8 @@ resolution ``RESOLUTION``; ``direction_cone`` makes one from any point
 cloud (asymptotic cones, unions, induced cones, restriction bounds).
 
 The asymptotic cone of a set S collects limits of directions of unbounded
-sequences in S.  Numerically: sample the family at several radii, keep the
-points at least as far out as the largest radius, take their direction cone.
+sequences in S.  Numerically: sample every branch once at ``FAR_RADIUS``,
+keep the points at least that far out, take their direction cone.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ import numpy as np
 from .errors import (
     DimensionTooLarge,
     EmptyFamily,
-    InsufficientRadii,
     NotUnitDirections,
     UnsupportedAlgebra,
 )
 from .liealg import build_algebra, null_rows
 
-DEFAULT_RADII = (10.0, 30.0, 100.0, 300.0)
+FAR_RADIUS = 300.0
 RESOLUTION = 0.02
 MAX_DUAL_DIM = 8
 # n * m up to which one Gram product is the cheapest search, and the size
@@ -397,33 +396,25 @@ def cone_union(cones) -> ConeDescription:
 
 
 def asymptotic_cone(
-    family: PointFamily,
-    radii=DEFAULT_RADII,
-    samples_per_radius: int = 6000,
-    seed: int = 0,
+    family: PointFamily, samples: int = 6000, seed: int = 0
 ) -> ConeDescription:
     """Asymptotic cone of a point family.
 
-    Samples every branch at each radius of the schedule, keeps the points
-    with norm at least the largest radius, and returns their direction
-    cone.
+    Draws ``samples`` points of every branch at ``FAR_RADIUS``, keeps the
+    points with norm at least ``FAR_RADIUS`` (none of a bounded branch's)
+    and returns their direction cone.
     """
-    radii = tuple(float(r) for r in radii)
-    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InsufficientRadii("need at least 3 strictly increasing radii")
     if not family.branches:
         raise EmptyFamily("family has no branches")
     rng = np.random.default_rng(seed)
-    pts = np.vstack([branch.sample(rng, r, samples_per_radius)
-                     for branch in family.branches for r in radii])
-    far = pts[np.linalg.norm(pts, axis=1) >= radii[-1]]
+    pts = np.vstack([b.sample(rng, FAR_RADIUS, samples) for b in family.branches])
+    far = pts[np.linalg.norm(pts, axis=1) >= FAR_RADIUS]
     return direction_cone(far, family.algebra, family.dim)
 
 
 def ac_union_check(
     families,
-    radii=DEFAULT_RADII,
-    samples_per_radius: int = 6000,
+    samples: int = 6000,
     seed: int = 0,
     angular_tol: float = 0.05,
 ) -> tuple[bool, float]:
@@ -438,9 +429,9 @@ def ac_union_check(
         dim=families[0].dim,
         branches=tuple(b for f in families for b in f.branches),
     )
-    left = asymptotic_cone(merged, radii, samples_per_radius, seed)
+    left = asymptotic_cone(merged, samples, seed)
     parts = [
-        asymptotic_cone(f, radii, samples_per_radius, seed + 1 + k)
+        asymptotic_cone(f, samples, seed + 1 + k)
         for k, f in enumerate(families)
     ]
     right = cone_union(parts)

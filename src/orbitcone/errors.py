@@ -37,10 +37,6 @@ class EmptyFamily(OrbitConeError):
     """Point family has no branches to sample."""
 
 
-class InsufficientRadii(OrbitConeError):
-    """Asymptotic cone sampling needs at least three strictly increasing radii."""
-
-
 class BudgetTooSmall(OrbitConeError):
     """Sampling budget below the minimum needed for a meaningful answer."""
 

@@ -194,7 +194,6 @@ def _sl2_branch_sampler(kind: str, value: float | None):
 
         def sample(rng, radius, count):
             t = _log_uniform(rng, max(nu * 1.01, radius), 2 * radius + 2 * nu, count)
-            t = np.maximum(t, nu * 1.000001)
             z = np.sqrt((t * t - nu * nu) / 2.0)
             z *= np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
             rho = np.sqrt(nu * nu + z * z)
@@ -209,7 +208,6 @@ def _sl2_branch_sampler(kind: str, value: float | None):
 
         def sample(rng, radius, count):
             t = _log_uniform(rng, max(n * 1.01, radius), 2 * radius + 2 * n, count)
-            t = np.maximum(t, n * 1.000001)
             u = 0.5 * np.arccosh((t / n) ** 2)
             rho = n * np.sinh(u)
             z = sign * n * np.cosh(u)
@@ -233,7 +231,7 @@ def _sl2_branch_sampler(kind: str, value: float | None):
 
 
 def orbit_branch(L: MatrixLieAlgebra, param: OrbitParam) -> FamilyBranch:
-    """The sampler of one orbit of L.  ``hyp`` needs a finite value,
+    """The sampler of one orbit of L.  ``hyp`` needs a finite value >= 0,
     ``ell+`` and ``ell-`` a finite positive one; ``nil+``, ``nil-`` and
     ``zero`` take none."""
     kind, value = param.kind, param.value
@@ -248,6 +246,8 @@ def orbit_branch(L: MatrixLieAlgebra, param: OrbitParam) -> FamilyBranch:
         raise UnsupportedAlgebra(f"orbit kind {kind!r} needs a finite value, got {value}")
     elif kind != "hyp" and value <= 0:
         raise UnsupportedAlgebra(f"orbit kind {kind!r} needs a positive value, got {value:g}")
+    elif value < 0:
+        raise UnsupportedAlgebra(f"orbit kind 'hyp' needs a nonnegative value, got {value:g}")
     label = kind if value is None else f"{kind}:{value:g}"
     return FamilyBranch(label, _sl2_branch_sampler(kind, value))
 

@@ -17,6 +17,7 @@ from orbitcone import (
     tensor_analysis,
     wavefront_of,
 )
+from orbitcone import cones
 from orbitcone.errors import BadPartition, UnsupportedAlgebra
 from orbitcone.induction import decomposability_obstructed
 
@@ -160,3 +161,12 @@ def test_golden_table_holds_over_seeds():
             assert row["ok"], f"{row['label']} fails at seed {seed}: {row['defect']:.4f}"
             worst[row["label"]] = max(worst.get(row["label"], 0.0), row["defect"])
     print(f"worst L2_GK defect over seeds 0-19: {worst['L2_GK']:.4f}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("radius", [100.0, 1e4])
+def test_golden_table_does_not_depend_on_the_far_radius(monkeypatch, radius):
+    monkeypatch.setattr(cones, "FAR_RADIUS", radius)
+    for seed in range(5):
+        for row in golden_table(seed=seed):
+            assert row["ok"], (row["label"], seed, row["defect"])

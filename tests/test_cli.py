@@ -1,6 +1,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,13 +171,17 @@ def test_validation_errors_exit_2(tmp_path):
         ["classify", "--algebra", "sl2R", "--point", "1,0,1", "--samples", "5"],
         ["dual", "--generators", "1,0;0,1", "--angular-tol", "0.1"],
         ["golden-table", "--angular-tol", "-inf"],
-        # radii outside (0, MAX_RADIUS], and scans whose orbit samples overflow
+        # --radii, which no parser takes, and scans whose orbit samples overflow
         ["wavefront", "--rep", "sigma_hyp:0:+", "--radii=-3,-2,-1"],
         ["wavefront", "--rep", "sigma_hyp:1:+-", "--radii=1e100,1e200,1e300"],
         ["wavefront", "--rep", "L2_GK", "--radii=1e100,1e200,1e300"],
         ["wavefront", "--rep", "L2_GK", "--radii=0,10,100"],
         ["measure-scan", "--orbit", "hyp:1e300", "--samples", "4"],
         ["measure-scan", "--orbit", "ell+:1e160"],
+        # hyp values below 0: nu and -nu name one orbit, so -nu is refused
+        ["orbit-sample", "--orbit", "hyp:-50", "--radius", "10"],
+        ["measure-scan", "--orbit", "hyp:-3"],
+        ["orbit-sample", "--orbit", "hyp:-0.5"],
         # quadric cone names on algebras without the sl2 chart
         ["restrict", "--pair", "su(2,1)|so(2,1)", "--cone", "HypClosure"],
         ["induce", "--pair", "so(2,2)|blocks[(2,2)]", "--sub-cone", "HypClosure"],
@@ -218,6 +226,7 @@ def test_validation_errors_exit_2(tmp_path):
          "tempered-radii", "classify-samples", "dual-angular-tol",
          "angular-tol-neg-inf-spaced", "radii-negative", "radii-huge",
          "radii-huge-union", "radii-zero", "scan-hyp-huge", "scan-ell-huge",
+         "hyp-negative", "scan-hyp-negative", "hyp-negative-small",
          "restrict-quadric-su21", "induce-quadric-so22", "induce-quadric-so3",
          "dual-no-generators", "blocks-junk", "blocks-missing-comma",
          "blocks-trailing-comma", "blocks-empty-block", "sigma-hyp-two-points",
@@ -235,6 +244,8 @@ def test_bad_input_exits_2_without_report(tmp_path, capsys, args):
     assert "error:" in err
     if args[-1] == "point":
         assert "orbit kind 'point'" in err
+    if "hyp:-" in " ".join(args):
+        assert "needs a nonnegative value" in err
 
 
 @pytest.mark.parametrize("sub", ["afile", "afile/below"])
@@ -290,6 +301,28 @@ def test_reports_do_not_depend_on_chunk_sizes(tmp_path, monkeypatch, gram, ring,
     monkeypatch.setattr(cones, "_RING_CHUNK", ring)
     monkeypatch.setattr(induction, "_MOVE_CHUNK", move)
     assert files("chunked") == want
+
+
+@pytest.mark.slow
+def test_reports_do_not_depend_on_threads_or_hash_seed(tmp_path):
+    # fresh processes with 1 and 2 BLAS/OpenMP threads and two hash seeds
+    # write the same bytes
+    runs = [["golden-table", "--seed", "0"],
+            ["induce", "--pair", "so(2,2)|blocks[(1,1),(1,1)]", "--samples", "4000",
+             "--seed", "3"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def files(n):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n,
+               "PYTHONHASHSEED": n, "PYTHONPATH": path}
+        outs = [tmp_path / f"{n}-{i}" for i in range(len(runs))]
+        for args, out in zip(runs, outs):
+            subprocess.run([sys.executable, "-m", "orbitcone.cli", *args, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+        return [_files(out) for out in outs]
+
+    assert files("1") == files("2")
 
 
 def test_help_returns_0(capsys):
@@ -469,7 +502,7 @@ def test_restrict_rep_runs_its_reported_samples(
     calls, wavefront_of = [], cli.wavefront_of
 
     def recorded(spec, **kw):
-        calls.append(kw["samples_per_radius"])
+        calls.append(kw["samples"])
         return wavefront_of(spec, **kw)
 
     monkeypatch.setattr(cli, "wavefront_of", recorded)
@@ -558,12 +591,12 @@ def test_each_parser_takes_only_the_options_it_reads():
         opts = _options(p)
         assert COMMON <= opts, name
         assert ("--samples" in opts) == (name in SAMPLED), name
-        assert ("--radii" in opts) == (name in ("ac", "wavefront")), name
+        assert "--radii" not in opts, name
         assert ("--angular-tol" in opts) == (
             name in ("ac", "wavefront", "golden-table")
         ), name
-    shared = COMMON | {"--samples", "--radii", "--angular-tol"}
-    assert sum(len(_options(p) & shared) for p in parsers.values()) == 50
+    shared = COMMON | {"--samples", "--angular-tol"}
+    assert sum(len(_options(p) & shared) for p in parsers.values()) == 48
 
 
 def _files(out):
@@ -626,7 +659,6 @@ def test_config_echoes_exactly_the_parser_options(tmp_path, name):
     assert config["command"] == ("ac" if name == "wavefront" else name)
     assert config["seed"] == 0
     assert ("samples" in config["budgets"]) == ("samples" in dests)
-    assert ("radii" in config["budgets"]) == ("radii" in dests)
     assert ("angular" in config["tolerances"]) == ("angular_tol" in dests)
 
 

@@ -22,6 +22,7 @@ from orbitcone import (
 )
 from orbitcone.cones import (
     EXACT_NAMES,
+    FAR_RADIUS,
     RESOLUTION,
     _EXACT_CONES,
     _GRAM_CUT,
@@ -34,7 +35,7 @@ from orbitcone.cones import (
     dedup_directions,
     direction_cone,
 )
-from orbitcone.errors import InsufficientRadii, NotUnitDirections, UnsupportedAlgebra
+from orbitcone.errors import NotUnitDirections, UnsupportedAlgebra
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +45,14 @@ def sl2():
 
 def test_single_hyperbolic_orbit_has_null_cone(sl2):
     fam = orbit_family(sl2, [OrbitParam("sl2R", "hyp", 1.0)])
-    cone = asymptotic_cone(fam, samples_per_radius=4000, seed=0)
+    cone = asymptotic_cone(fam, samples=4000, seed=0)
     ok, defect = cone_equal(cone, exact_cone("N", "sl2R", 3))
     assert ok, defect
 
 
 def test_single_elliptic_orbit_has_upper_nappe(sl2):
     fam = orbit_family(sl2, [OrbitParam("sl2R", "ell+", 3.0)])
-    cone = asymptotic_cone(fam, samples_per_radius=4000, seed=0)
+    cone = asymptotic_cone(fam, samples=4000, seed=0)
     ok, defect = cone_equal(cone, exact_cone("Nplus", "sl2R", 3))
     assert ok, defect
 
@@ -90,12 +91,26 @@ def test_bounded_family_has_zero_cone(sl2):
     assert cone.kind == "exact" and cone.name == "Zero"
 
 
-def test_radius_schedule_validated(sl2):
-    fam = orbit_family(sl2, [OrbitParam("sl2R", "hyp", 1.0)])
-    with pytest.raises(InsufficientRadii):
-        asymptotic_cone(fam, radii=(10.0, 5.0, 100.0))
-    with pytest.raises(InsufficientRadii):
-        asymptotic_cone(fam, radii=(10.0, 20.0))
+def test_far_filter_drops_a_bounded_branch(sl2):
+    # nil+ plus a bounded branch at FAR_RADIUS / 2 on the -z axis: only the
+    # norm filter keeps that branch out (without it the defect is 3 pi / 4)
+    calls = []
+
+    def recorded(sample):
+        def draw(rng, radius, count):
+            calls.append((radius, count))
+            return sample(rng, radius, count)
+        return draw
+
+    def inner(rng, radius, count):
+        return np.tile([0.0, 0.0, -FAR_RADIUS / 2], (count, 1))
+
+    nil = orbit_family(sl2, [OrbitParam("sl2R", "nil+")]).branches[0]
+    fam = PointFamily("sl2R", 3, (FamilyBranch("nil+", recorded(nil.sample)),
+                                  FamilyBranch("inner", recorded(inner))))
+    ok, defect = cone_equal(asymptotic_cone(fam, seed=0), exact_cone("Nplus", "sl2R", 3))
+    assert ok, defect
+    assert calls == [(FAR_RADIUS, 6000)] * 2
 
 
 def _angle_to(C, point):
