@@ -57,7 +57,7 @@ def _product_family(p1: OrbitParam, p2: OrbitParam) -> PointFamily:
     return PointFamily(
         algebra=amb.name,
         dim=amb.dim,
-        branches=(FamilyBranch(f"{b1.label}x{b2.label}", sample),),
+        branches=(FamilyBranch(f"{b1.label}x{b2.label}", sample, max(b1.scale, b2.scale)),),
     )
 
 

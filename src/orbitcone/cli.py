@@ -18,9 +18,9 @@ built once per process, on the first call to ``main``; parsing leaves it
 unchanged, so every call still parses its arguments afresh.
 
 Exit codes: 0 success, 2 validation error (bad options, bad numeric
-values, an orbit-sample --radius outside (0, MAX_RADIUS], unknown names,
-an --out under a regular file, orbit samples that overflow in
-orbit-sample or measure-scan; nothing is written), 3 mathematically
+values, an orbit value above MAX_RADIUS, an orbit-sample --radius or a
+measure-scan norm outside [1/MAX_RADIUS, MAX_RADIUS], unknown names, an
+--out under a regular file; nothing is written), 3 mathematically
 inconclusive (a saturation search that exhausts its budget without a
 verdict).
 """
@@ -66,7 +66,7 @@ from .induction import (
     saturation_is_full,
 )
 from .liealg import build_algebra, classify_element, sl2_casimir
-from .orbits import OrbitParam, density_ratio_F, orbit_branch, orbit_sample
+from .orbits import MAX_RADIUS, OrbitParam, density_ratio_F, orbit_branch, orbit_sample
 from .tempered import bk_weak_containment
 
 CLAIMS = {
@@ -82,8 +82,6 @@ CLAIMS = {
     "golden-table": "the rank-one wave front catalog is reproduced by asymptotic-cone sampling",
     "measure-scan": "the canonical-to-Euclidean density ratio grows with degree half the orbit dimension",
 }
-# orbit samples reach norms of about 2 --radius; their squares must stay finite
-MAX_RADIUS = 1e150
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -196,9 +194,9 @@ def _cmd_classify(args) -> _Run:
 
 
 def _orbit_points(L, param: OrbitParam, count: int, seed: int, radius: float):
-    """``orbit_sample`` at a radius in (0, MAX_RADIUS], with finite points."""
-    if not 0 < radius <= MAX_RADIUS:
-        raise OrbitConeError(f"radius {radius:g} is outside (0, {MAX_RADIUS:g}]")
+    """``orbit_sample`` at a radius in [1/MAX_RADIUS, MAX_RADIUS], with finite points."""
+    if not 1 / MAX_RADIUS <= radius <= MAX_RADIUS:
+        raise OrbitConeError(f"radius {radius:g} is outside [{1 / MAX_RADIUS:g}, {MAX_RADIUS:g}]")
     with np.errstate(over="ignore", invalid="ignore"):
         pts = orbit_sample(L, param, count, seed=seed, radius=radius)
     if not np.all(np.isfinite(pts)):

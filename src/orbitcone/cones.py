@@ -11,8 +11,9 @@ resolution ``RESOLUTION``; ``direction_cone`` makes one from any point
 cloud (asymptotic cones, unions, induced cones, restriction bounds).
 
 The asymptotic cone of a set S collects limits of directions of unbounded
-sequences in S.  Numerically: sample every branch once at ``FAR_RADIUS``,
-keep the points at least that far out, take their direction cone.
+sequences in S.  Numerically: sample every branch once at ``FAR_RADIUS``
+times its scale, keep the points at least that far out, take their
+direction cone.
 """
 
 from __future__ import annotations
@@ -83,11 +84,14 @@ class FamilyBranch:
 
     ``sample(rng, radius, count)`` returns points of the branch with norms
     spread around ``radius`` (bounded branches ignore the radius and stay
-    inside their bounded set).
+    inside their bounded set).  ``scale`` is the size of the branch's
+    parameter (at least 1): the asymptotic cone looks ``scale`` times
+    farther out, so a scaled copy of a branch gives the same cone.
     """
 
     label: str
     sample: object
+    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -400,15 +404,16 @@ def asymptotic_cone(
 ) -> ConeDescription:
     """Asymptotic cone of a point family.
 
-    Draws ``samples`` points of every branch at ``FAR_RADIUS``, keeps the
-    points with norm at least ``FAR_RADIUS`` (none of a bounded branch's)
-    and returns their direction cone.
+    Draws ``samples`` points of every branch at ``FAR_RADIUS`` times the
+    branch's scale, keeps the points with norm at least that (none of a
+    bounded branch's) and returns their direction cone.
     """
     if not family.branches:
         raise EmptyFamily("family has no branches")
     rng = np.random.default_rng(seed)
-    pts = np.vstack([b.sample(rng, FAR_RADIUS, samples) for b in family.branches])
-    far = pts[np.linalg.norm(pts, axis=1) >= FAR_RADIUS]
+    drawn = [(b.sample(rng, FAR_RADIUS * b.scale, samples), FAR_RADIUS * b.scale)
+             for b in family.branches]
+    far = np.vstack([p[np.linalg.norm(p, axis=1) >= r] for p, r in drawn])
     return direction_cone(far, family.algebra, family.dim)
 
 

@@ -516,20 +516,6 @@ def classify_batch(L: MatrixLieAlgebra, points: np.ndarray) -> np.ndarray:
 # exponential jacobian
 
 
-def _f_entire(lam: complex) -> complex:
-    """(1 - exp(-lam)) / lam, removable singularity at 0."""
-    if abs(lam) < 1e-6:
-        return 1.0 - lam / 2.0 + lam**2 / 6.0 - lam**3 / 24.0
-    return -np.expm1(-lam) / lam
-
-
-def _g_entire(lam: complex) -> complex:
-    """(exp(lam/2) - exp(-lam/2)) / lam, removable singularity at 0, even."""
-    if abs(lam) < 1e-6:
-        return 1.0 + lam**2 / 24.0 + lam**4 / 1920.0
-    return (np.exp(lam / 2.0) - np.exp(-lam / 2.0)) / lam
-
-
 def exp_jacobian(L: MatrixLieAlgebra, x) -> tuple[float, float]:
     """Jacobian of exp at X and its analytic square root.
 
@@ -543,15 +529,15 @@ def exp_jacobian(L: MatrixLieAlgebra, x) -> tuple[float, float]:
     cx = check_coords(L, x)
     if L.dim == 0:
         return 1.0, 1.0
-    A = ad_matrix(L, cx)
-    eigs = np.linalg.eigvals(A)
-    scale = max(1.0, np.max(np.abs(eigs)))
-    j = np.prod([_f_entire(lam) for lam in eigs])
-    half = [
-        lam
-        for lam in eigs
-        if lam.real > EIG_TOL * scale
-        or (abs(lam.real) <= EIG_TOL * scale and lam.imag > EIG_TOL * scale)
-    ]
-    j_sqrt = np.prod([_g_entire(lam) for lam in half]) if half else 1.0 + 0.0j
-    return float(abs(j)), float(np.real(j_sqrt))
+    lam = np.linalg.eigvals(ad_matrix(L, cx))
+    tol = EIG_TOL * max(1.0, np.max(np.abs(lam)))
+    # (1 - e^-lam)/lam and (e^(lam/2) - e^(-lam/2))/lam, Taylor near 0
+    tiny = np.abs(lam) < 1e-6
+    safe = np.where(tiny, 1.0, lam)
+    f, g = np.where(
+        tiny,
+        [1.0 - lam / 2.0 + lam**2 / 6.0 - lam**3 / 24.0, 1.0 + lam**2 / 24.0 + lam**4 / 1920.0],
+        [-np.expm1(-lam) / safe, (np.exp(lam / 2.0) - np.exp(-lam / 2.0)) / safe],
+    )
+    half = (lam.real > tol) | ((np.abs(lam.real) <= tol) & (lam.imag > tol))
+    return float(abs(np.prod(f))), float(np.real(np.prod(g[half])))

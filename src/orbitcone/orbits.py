@@ -3,10 +3,10 @@
 Orbits of the rank-one catalog are the level sets of the chart Casimir
 x^2 + y^2 - z^2: one-sheeted hyperboloids (value nu^2 > 0), the two
 hyperboloid sheets (value -n^2, sign of z), the two nilpotent half-cones,
-and the origin.  Samplers place points exactly on these quadrics with
-near-uniform direction coverage, which is what asymptotic-cone extraction
-needs.  Induced cones on other algebras move points by random group
-transports instead (see ``induction``).
+and the origin.  One formula puts a point of norm t on each sheet of value
+c: z^2 = (t^2 - c) / 2 and rho^2 = c + z^2, around near-uniform angles.
+Induced cones on other algebras move points by random group transports
+instead (see ``induction``).
 
 Densities: the orbit symplectic form at xi is omega(ad*_X xi, ad*_Y xi)
 = -<xi, [X, Y]>.  The canonical density of a tangent frame is
@@ -18,6 +18,7 @@ ratio of the two is the scalar computed by :func:`density_ratio_F`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,13 +34,15 @@ from .liealg import (
     ad_matrix,
     bracket,
     check_coords,
-    coadjoint_ad,
     pairing,
 )
 
 GOLDEN = 0.6180339887498949
 SL2_KINDS = ("hyp", "ell+", "ell-", "nil+", "nil-", "zero")
 SUM_RADIUS = 50.0
+# orbit values and sampling radii stay at most this large (and radii at
+# least its inverse), so the squares of the sample points stay finite
+MAX_RADIUS = 1e150
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +101,7 @@ def kks_gram(L: MatrixLieAlgebra, xi, vectors) -> np.ndarray:
     # X_i with ad*_(X_i) xi = v_i, least squares (any solution works, the
     # form value does not depend on the choice)
     xs = np.linalg.lstsq(-ad_matrix(L, c), vecs.T, rcond=None)[0].T
-    k = len(vecs)
-    omega = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            omega[i, j] = kks_form(L, c, xs[i], xs[j])
-            omega[j, i] = -omega[i, j]
-    return omega
+    return -(bracket(L, xs[:, None], xs) @ (c @ L.gram))
 
 
 def canonical_density(L: MatrixLieAlgebra, xi, vectors) -> float:
@@ -150,13 +147,10 @@ def density_ratio_F(L: MatrixLieAlgebra, xi) -> float:
         return 1.0
     q, _ = np.linalg.qr(tb.T)
     etas = q[:, : len(tb)].T  # orthonormal frame, rows
-    gram_inv = np.linalg.inv(L.gram)
-    m = np.empty((len(tb), len(tb)))
-    for i, eta in enumerate(etas):
-        x_i = gram_inv @ eta  # <eta', X_i> = (eta', eta_i) for all eta'
-        m[i] = etas @ coadjoint_ad(L, x_i, c)
-    d = len(tb) // 2
-    return float((2 * np.pi) ** d * np.sqrt(abs(np.linalg.det(m))))
+    # X_i = gram^-1 eta_i and ad*_(X_i) xi = -ad_xi X_i, so the entry
+    # (ad*_(X_i) xi, eta_j) is -m[j, i]: the same |det|
+    m = etas @ ad_matrix(L, c) @ np.linalg.solve(L.gram, etas.T)
+    return float((2 * np.pi) ** (len(tb) // 2) * np.sqrt(abs(np.linalg.det(m))))
 
 
 # ---------------------------------------------------------------------------
@@ -174,66 +168,35 @@ def _angles(rng, count):
 def _log_uniform(rng, lo, hi, count):
     # iid, not stratified: norms must stay independent of the direction
     # grids, or the asymptotic-cone norm filter would bias directions
-    lo, hi = max(lo, 1e-9), max(hi, 2e-9)
-    if hi <= lo:
-        hi = 2 * lo
     return np.exp(rng.uniform(np.log(lo), np.log(hi), count))
 
 
-def _sl2_branch_sampler(kind: str, value: float | None):
-    """Point sampler for one sl2-chart orbit branch."""
+def _quadric_sampler(a: float, c: float, signs: tuple):
+    """Points of the sheet x^2 + y^2 - z^2 = c (c = a^2, -a^2 or 0) at norms
+    t log-uniform in [max(1.01 a, radius), 2 radius + 2 a]: z is
+    sqrt((t^2 - c) / 2) times the ``signs`` repeated over the rows and
+    rho = sqrt(c + z^2), so the norm is t."""
 
-    if kind == "zero":
-        def sample(rng, radius, count):
-            return np.zeros((count, 3))
+    def sample(rng, radius, count):
+        t = _log_uniform(rng, max(1.01 * a, radius), 2 * radius + 2 * a, count)
+        z = np.sqrt((t * t - c) / 2.0) * np.tile(signs, count)[:count]
+        rho = np.sqrt(c + z * z)
+        th = _angles(rng, count)
+        return np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
 
-        return sample
+    return sample
 
-    if kind == "hyp":
-        nu = float(value)
 
-        def sample(rng, radius, count):
-            t = _log_uniform(rng, max(nu * 1.01, radius), 2 * radius + 2 * nu, count)
-            z = np.sqrt((t * t - nu * nu) / 2.0)
-            z *= np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
-            rho = np.sqrt(nu * nu + z * z)
-            th = _angles(rng, count)
-            return np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
-
-        return sample
-
-    if kind in ("ell+", "ell-"):
-        n = float(value)
-        sign = 1.0 if kind == "ell+" else -1.0
-
-        def sample(rng, radius, count):
-            t = _log_uniform(rng, max(n * 1.01, radius), 2 * radius + 2 * n, count)
-            u = 0.5 * np.arccosh((t / n) ** 2)
-            rho = n * np.sinh(u)
-            z = sign * n * np.cosh(u)
-            th = _angles(rng, count)
-            return np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
-
-        return sample
-
-    if kind in ("nil+", "nil-"):
-        sign = 1.0 if kind == "nil+" else -1.0
-
-        def sample(rng, radius, count):
-            t = _log_uniform(rng, radius, 2 * radius, count)
-            r = t / np.sqrt(2.0)
-            th = _angles(rng, count)
-            return np.column_stack([r * np.cos(th), r * np.sin(th), sign * r])
-
-        return sample
-
-    raise UnsupportedAlgebra(f"unknown sl2 orbit kind {kind!r}")
+# kind: (sign of the quadric value, signs of z down the rows)
+_SHEETS = {"hyp": (1.0, (1.0, -1.0)), "ell+": (-1.0, (1.0,)), "ell-": (-1.0, (-1.0,)),
+           "nil+": (0.0, (1.0,)), "nil-": (0.0, (-1.0,))}
 
 
 def orbit_branch(L: MatrixLieAlgebra, param: OrbitParam) -> FamilyBranch:
     """The sampler of one orbit of L.  ``hyp`` needs a finite value >= 0,
-    ``ell+`` and ``ell-`` a finite positive one; ``nil+``, ``nil-`` and
-    ``zero`` take none."""
+    ``ell+`` and ``ell-`` a finite positive one, both at most MAX_RADIUS;
+    ``nil+``, ``nil-`` and ``zero`` take none.  The branch's scale is
+    max(1, value): the orbit of value a is a times the orbit of value 1."""
     kind, value = param.kind, param.value
     if param.algebra != L.name:
         raise UnsupportedAlgebra(f"an orbit of {param.algebra} is not an orbit of {L.name}")
@@ -248,8 +211,15 @@ def orbit_branch(L: MatrixLieAlgebra, param: OrbitParam) -> FamilyBranch:
         raise UnsupportedAlgebra(f"orbit kind {kind!r} needs a positive value, got {value:g}")
     elif value < 0:
         raise UnsupportedAlgebra(f"orbit kind 'hyp' needs a nonnegative value, got {value:g}")
+    elif value > MAX_RADIUS:
+        raise UnsupportedAlgebra(f"orbit kind {kind!r} needs a value <= {MAX_RADIUS:g}, "
+                                 f"got {value:g}")
+    if kind == "zero":
+        return FamilyBranch(kind, lambda rng, radius, count: np.zeros((count, 3)))
+    a = value or 0.0
+    sign, signs = _SHEETS[kind]
     label = kind if value is None else f"{kind}:{value:g}"
-    return FamilyBranch(label, _sl2_branch_sampler(kind, value))
+    return FamilyBranch(label, _quadric_sampler(a, sign * a * a, signs), max(1.0, a))
 
 
 def orbit_family(L: MatrixLieAlgebra, params) -> PointFamily:
@@ -258,39 +228,38 @@ def orbit_family(L: MatrixLieAlgebra, params) -> PointFamily:
     return PointFamily(algebra=L.name, dim=L.dim, branches=branches)
 
 
-def _hyp_union_sampler():
+def _hyp_union_sampler(rng, radius, count):
     """All hyperbolic orbits at once: stratified directions in the open
     band |z| < rho, exact placement at a log-uniform norm."""
-
-    def sample(rng, radius, count):
-        cmax = 1.0 / np.sqrt(2.0) - 1e-9
-        c = (2 * _stratified(rng, count) - 1.0) * cmax
-        th = _angles(rng, count)
-        s = np.sqrt(1.0 - c * c)
-        u = np.column_stack([s * np.cos(th), s * np.sin(th), c])
-        t = _log_uniform(rng, radius, 2 * radius, count)
-        return u * t[:, None]
-
-    return sample
+    cmax = 1.0 / np.sqrt(2.0) - 1e-9
+    c = (2 * _stratified(rng, count) - 1.0) * cmax
+    th = _angles(rng, count)
+    s = np.sqrt(1.0 - c * c)
+    u = np.column_stack([s * np.cos(th), s * np.sin(th), c])
+    t = _log_uniform(rng, radius, 2 * radius, count)
+    return u * t[:, None]
 
 
-def _ell_union_sampler(sign: float):
+def _ell_union_sampler(sign, rng, radius, count):
     """The integer family of elliptic orbits on one side: stratified cap
     directions, then the norm is snapped so the quadric parameter is a
     positive integer."""
+    cmin = 1.0 / np.sqrt(2.0) + 1e-9
+    c = cmin + _stratified(rng, count) * (1.0 - cmin)
+    th = _angles(rng, count)
+    s = np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
+    u = np.column_stack([s * np.cos(th), s * np.sin(th), sign * c])
+    t = _log_uniform(rng, radius, 2 * radius, count)
+    root = np.sqrt(c * c - s * s)  # sqrt(-casimir) on the unit direction
+    n = np.maximum(1.0, np.round(t * root))
+    return u * (n / root)[:, None]
 
-    def sample(rng, radius, count):
-        cmin = 1.0 / np.sqrt(2.0) + 1e-9
-        c = cmin + _stratified(rng, count) * (1.0 - cmin)
-        th = _angles(rng, count)
-        s = np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
-        u = np.column_stack([s * np.cos(th), s * np.sin(th), sign * c])
-        t = _log_uniform(rng, radius, 2 * radius, count)
-        root = np.sqrt(c * c - s * s)  # sqrt(-casimir) on the unit direction
-        n = np.maximum(1.0, np.round(t * root))
-        return u * (n / root)[:, None]
 
-    return sample
+_UNIONS = {
+    "hyp_union": _hyp_union_sampler,
+    "ell_union_plus": partial(_ell_union_sampler, 1.0),
+    "ell_union_minus": partial(_ell_union_sampler, -1.0),
+}
 
 
 def union_family(L: MatrixLieAlgebra, kind: str) -> PointFamily:
@@ -303,20 +272,10 @@ def union_family(L: MatrixLieAlgebra, kind: str) -> PointFamily:
     """
     if L.chart != "sl2":
         raise UnsupportedAlgebra("orbit unions are catalogued for the sl2 chart")
-    if kind == "hyp_union":
-        branches = (FamilyBranch("hyp_union", _hyp_union_sampler()),)
-    elif kind == "ell_union_plus":
-        branches = (FamilyBranch("ell_union_plus", _ell_union_sampler(1.0)),)
-    elif kind == "ell_union_minus":
-        branches = (FamilyBranch("ell_union_minus", _ell_union_sampler(-1.0)),)
-    elif kind == "full":
-        branches = (
-            FamilyBranch("hyp_union", _hyp_union_sampler()),
-            FamilyBranch("ell_union_plus", _ell_union_sampler(1.0)),
-            FamilyBranch("ell_union_minus", _ell_union_sampler(-1.0)),
-        )
-    else:
+    names = tuple(_UNIONS) if kind == "full" else (kind,)
+    if names[0] not in _UNIONS:
         raise UnsupportedAlgebra(f"unknown union kind {kind!r}")
+    branches = tuple(FamilyBranch(name, _UNIONS[name]) for name in names)
     return PointFamily(algebra=L.name, dim=L.dim, branches=branches)
 
 
@@ -328,9 +287,7 @@ def orbit_sample(
     radius: float = 10.0,
 ) -> np.ndarray:
     """Draw ``count`` points of one orbit, norms spread up to ~2*radius."""
-    rng = np.random.default_rng(seed)
-    branch = orbit_branch(L, param)
-    return branch.sample(rng, radius, count)
+    return orbit_branch(L, param).sample(np.random.default_rng(seed), radius, count)
 
 
 def orbit_sum_sample(

@@ -153,6 +153,30 @@ def test_sopq_family_embedding_is_valid():
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
+BIG = "1" + "0" * 150
+
+
+@pytest.mark.parametrize("label,expected", [
+    ("sigma_disc:100:+", "Nplus"), ("sigma_disc:300:+", "Nplus"),
+    ("sigma_disc:300:-", "Nminus"), ("sigma_disc:1000000:+", "Nplus"),
+    (f"sigma_disc:{BIG}:+", "Nplus"), ("sigma_hyp:100:+-", "N"), (f"sigma_hyp:{BIG}:+-", "N"),
+], ids=["disc-100", "disc-300+", "disc-300-", "disc-1e6", "disc-1e150", "hyp-100", "hyp-1e150"])
+def test_large_orbit_values_keep_their_wave_front(label, expected):
+    # the orbit of value a is a times the orbit of value 1, so the far
+    # shell lies a times farther out (without that, sigma_disc(300,+)
+    # read a cap at defect 0.685 from Nplus)
+    spec = representation(label)
+    assert spec.orbital_support.branches[0].scale == float(label.split(":")[1])
+    for seed in range(5):
+        ok, defect = cone_equal(wavefront_of(spec, seed=seed), exact_cone(expected, "sl2R", 3))
+        assert ok and defect <= 0.025, (seed, defect)
+
+
+def test_a_tensor_pair_draws_at_its_larger_scale():
+    assert representation("tensor:3:+:50:-").orbital_support.branches[0].scale == 50.0
+    assert representation("sigma_hyp:0:+").orbital_support.branches[0].scale == 1.0
+
+
 @pytest.mark.slow
 def test_golden_table_holds_over_seeds():
     worst = {}

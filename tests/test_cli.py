@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from orbitcone import (
+    OrbitParam,
     build_algebra,
     cli,
     make_embedding,
+    orbit_sample,
     pair_embedding,
     quaternionic_wf,
     restriction_class_counts,
@@ -165,7 +167,6 @@ def test_validation_errors_exit_2(tmp_path):
         ["measure-scan", "--samples", "1"],
         ["orbit-sample", "--orbit", "hyp:1", "--radius", "1e308"],
         ["orbit-sample", "--orbit", "hyp:1e300"],
-        ["orbit-sample", "--orbit", "ell+:1e-300"],
         # options a subcommand does not take, and values read as option names
         ["tempered", "--pair", "so(3,1)|blocks[(1,1),(2,0)]", "--radii", "1,2,3"],
         ["classify", "--algebra", "sl2R", "--point", "1,0,1", "--samples", "5"],
@@ -216,13 +217,18 @@ def test_validation_errors_exit_2(tmp_path):
         ["tempered", "--pair", "so(5,5)|blocks[(5,5)]"],
         ["dual", "--generators", "1,0,0,0,0,0,0,0,0"],
         ["tempered", "--pair", "foo"],
+        # orbit values above 1e150 and radii below 1e-150: the squares of
+        # the sample points would overflow or underflow
+        ["orbit-sample", "--orbit", "ell+:1e155"],
+        ["ac", "--rep", "sigma_disc:1" + "0" * 160 + ":+"],
+        ["orbit-sample", "--orbit", "nil+", "--radius", "1e-200"],
     ],
     ids=["orbit-value", "radii", "ragged-generators", "ell-zero", "point-nan",
          "radii-inf", "samples-negative", "samples-zero", "orbit-samples-negative",
          "scan-samples-zero", "saturation-samples-zero", "angular-tol-nan",
          "angular-tol-zero", "angular-tol-neg-inf", "unknown-cone", "radius-nan",
          "radius-negative", "radius-zero", "radius-inf", "scan-samples-one",
-         "radius-huge", "orbit-value-huge", "orbit-value-tiny",
+         "radius-huge", "orbit-value-huge",
          "tempered-radii", "classify-samples", "dual-angular-tol",
          "angular-tol-neg-inf-spaced", "radii-negative", "radii-huge",
          "radii-huge-union", "radii-zero", "scan-hyp-huge", "scan-ell-huge",
@@ -234,7 +240,8 @@ def test_validation_errors_exit_2(tmp_path):
          "orbit-point", "label-unclosed", "label-colon-closed", "tensor-unclosed",
          "restrict-rep-ambient", "induce-samples-few", "blocks-all-trivial",
          "blocks-unclosed", "pair-not-in-catalog", "split-dim-too-large",
-         "dual-dim-9", "pair-unknown"],
+         "dual-dim-9", "pair-unknown", "orbit-value-above-max", "rep-value-above-max",
+         "radius-tiny"],
 )
 def test_bad_input_exits_2_without_report(tmp_path, capsys, args):
     code, _, out = run(args, tmp_path)
@@ -246,6 +253,28 @@ def test_bad_input_exits_2_without_report(tmp_path, capsys, args):
         assert "orbit kind 'point'" in err
     if "hyp:-" in " ".join(args):
         assert "needs a nonnegative value" in err
+
+
+@pytest.mark.parametrize("value", ["1e-300", "1e-200"])
+def test_tiny_elliptic_values_sample_their_sheet(tmp_path, value):
+    # the sheet of ell+:v is the upper nilpotent half-cone to within v^2
+    code, _, out = run(["orbit-sample", "--orbit", f"ell+:{value}"], tmp_path)
+    assert code == 0
+    pts = np.loadtxt(out / "directions.csv", delimiter=",", skiprows=1)
+    assert pts.shape == (1000, 3) and np.all(np.isfinite(pts)) and np.all(pts[:, 2] > 0)
+    exact = orbit_sample(build_algebra("sl2R"), OrbitParam("sl2R", "ell+", float(value)), 1000)
+    assert np.allclose(pts, exact, rtol=1e-11, atol=0.0)
+    assert np.all(np.abs(sl2_casimir(exact)) <= 1e-15 * np.sum(exact**2, axis=1))
+
+
+@pytest.mark.parametrize("radius", [1e-12, 1e-150])
+@pytest.mark.parametrize("orbit", ["nil+", "hyp:0"])
+def test_tiny_radii_keep_their_norms(tmp_path, orbit, radius):
+    code, _, out = run(["orbit-sample", "--orbit", orbit, "--radius", str(radius),
+                        "--samples", "200"], tmp_path)
+    assert code == 0
+    norms = np.linalg.norm(np.loadtxt(out / "directions.csv", delimiter=",", skiprows=1), axis=1)
+    assert np.all(norms >= radius * (1 - 1e-11)) and np.all(norms <= 2 * radius * (1 + 1e-11))
 
 
 @pytest.mark.parametrize("sub", ["afile", "afile/below"])

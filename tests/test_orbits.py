@@ -17,7 +17,7 @@ from orbitcone import (
 )
 from orbitcone.errors import UnsupportedAlgebra, ZeroPoint
 from orbitcone.liealg import element_matrix, random_group_words
-from orbitcone.orbits import orbit_branch
+from orbitcone.orbits import GOLDEN, orbit_branch
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +63,66 @@ def test_samples_sit_on_the_quadric(sl2, param):
         (OrbitParam("sl2R", "hyp", float("nan")), "needs a finite value"),
         (OrbitParam("sl2R", "nil+", 5.0), "takes no value"),
         (OrbitParam("so(2,1)", "hyp", 1.0), "not an orbit of sl2R"),
+        # squares of the sample points must stay finite
+        (OrbitParam("sl2R", "ell+", 1e155), "needs a value <= 1e\\+150"),
+        (OrbitParam("sl2R", "hyp", 1e300), "needs a value <= 1e\\+150"),
     ],
-    ids=["ell-negative", "ell-zero", "hyp-no-value", "hyp-nan", "nil-value", "other-algebra"],
+    ids=["ell-negative", "ell-zero", "hyp-no-value", "hyp-nan", "nil-value", "other-algebra",
+         "ell-above-max", "hyp-above-max"],
 )
 def test_orbit_branch_rejects_a_bad_param(sl2, param, message):
     with pytest.raises(UnsupportedAlgebra, match=message):
         orbit_sample(sl2, param, 10)
+
+
+def _reference_sample(kind, value, rng, radius, count):
+    """The per-kind formulas of the samplers before the one quadric formula
+    (arccosh, sinh and cosh for ell, t / sqrt(2) for nil, square roots for
+    hyp), with the same draws: the norm, then the angles."""
+
+    def norms(lo, hi):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), count))
+
+    sign = -1.0 if kind.endswith("-") else 1.0
+    if kind == "hyp":
+        nu = value
+        t = norms(max(nu * 1.01, radius), 2 * radius + 2 * nu)
+        z = np.sqrt((t * t - nu * nu) / 2.0)
+        z *= np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+        rho = np.sqrt(nu * nu + z * z)
+    elif kind.startswith("ell"):
+        n = value
+        t = norms(max(n * 1.01, radius), 2 * radius + 2 * n)
+        u = 0.5 * np.arccosh((t / n) ** 2)
+        rho, z = n * np.sinh(u), sign * n * np.cosh(u)
+    else:
+        rho = norms(radius, 2 * radius) / np.sqrt(2.0)
+        z = sign * rho
+    th = 2 * np.pi * ((np.arange(count) * GOLDEN + rng.uniform()) % 1.0)
+    return np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
+
+
+REFERENCE_KINDS = [("hyp", v) for v in (0.0, 0.5, 3.0, 1e100)]
+REFERENCE_KINDS += [(k, v) for k in ("ell+", "ell-") for v in (0.5, 3.0, 1e100)]
+REFERENCE_KINDS += [("nil+", None), ("nil-", None)]
+
+
+@pytest.mark.parametrize("kind,value", REFERENCE_KINDS)
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 300.0, 1e6, 1e148])
+def test_quadric_sampler_matches_the_per_kind_formulas(sl2, kind, value, radius):
+    branch = orbit_branch(sl2, OrbitParam("sl2R", kind, value))
+    for seed in range(3):
+        got = branch.sample(np.random.default_rng(seed), radius, 500)
+        want = _reference_sample(kind, value, np.random.default_rng(seed), radius, 500)
+        norm = np.linalg.norm(want, axis=1)
+        err = np.linalg.norm(got - want, axis=1) / norm
+        tol = 1e-15
+        if kind.startswith("ell"):
+            # the arccosh formula carries the rounding of its hyperbolic
+            # angle u, a relative error of a few ulps times u (2.6e-14 at
+            # u = 342; at 50 digits the quadric formula is the closer one)
+            tol = 4e-15 * (1.0 + 0.5 * np.arccosh((norm / value) ** 2))
+        assert np.all(err <= tol), (seed, err.max())
 
 
 @pytest.mark.parametrize("count", [1, 7, 1000])
